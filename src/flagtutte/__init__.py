@@ -25,9 +25,9 @@ from .lattice import (HalfOpenSimplicialCone, LatticePolytope, RationalCone,
                       flag_polytope, hilbert_numerator, hilbert_series,
                       is_normal, lattice_points, minkowski_sum,
                       poly_base_polytope, triangulate)
-from .invariants import (BivarPoly, characteristic_poly, log_concavity,
-                         q_coefficients, qprime, qprime_delcon_check,
-                         ttoq_check, tutte_activity, tutte_delcon, tutte_eval,
+from .invariants import (characteristic_poly, log_concavity, q_coefficients,
+                         qprime, qprime_delcon_check, ttoq_check,
+                         tutte_activity, tutte_delcon, tutte_eval,
                          tutte_rank_nullity)
 from .ktheory import (EquivariantClass, FlagSpace, ProjProductSpace, k_tutte,
                       o1_class, pullback, pushforward_to_pp,

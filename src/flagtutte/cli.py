@@ -2,19 +2,19 @@
 
 Verbs map one-to-one onto library operations; inputs are the JSON schemas
 of :mod:`flagtutte.fileio`.  Output is deterministic: canonical orderings
-everywhere, byte-identical across re-runs, thread counts and evaluation
-weights.  Exit codes: 0 success, 1 domain error (with a machine-readable
-report), 2 usage error.
+everywhere, byte-identical across re-runs and evaluation weights.  Exit
+codes: 0 success, 1 domain error (with a machine-readable report), 2 usage
+error.
 """
 
 import argparse
 import json
 import sys
 
-from .errors import FlagTutteError
+from .errors import EvaluationMismatch, FlagTutteError
 from . import fileio
-from .invariants import (characteristic_poly, format_bivar, log_concavity,
-                         q_coefficients, qprime, tutte_activity,
+from .invariants import (_from_shifted, characteristic_poly, format_bivar,
+                         log_concavity, q_coefficients, tutte_activity,
                          tutte_delcon, tutte_rank_nullity)
 from .ktheory import k_tutte, parse_chain, y_class
 from .lattice import (base_polytope, edges, is_normal, lattice_points,
@@ -58,10 +58,13 @@ def _poly_payload(p):
 
 
 def _weights_guard(values, weights):
-    """Assert t=1 evaluation through weights matches direct substitution."""
+    """Check t=1 evaluation through weights against direct substitution."""
     for v in values:
-        assert evaluate_at_one(KRational.from_poly(v), weights) == \
-            v.subs_one(), "weight evaluation disagrees with substitution"
+        got = evaluate_at_one(KRational.from_poly(v), weights)
+        if got != v.subs_one():
+            raise EvaluationMismatch(
+                f"weights {list(weights)} evaluate {format_poly(v)} to {got}, "
+                f"substitution gives {v.subs_one()}")
 
 
 def _object_summary(obj):
@@ -100,18 +103,18 @@ def cmd_tutte(args):
 
 def cmd_ktutte(args):
     f = fileio.as_flag_matroid(fileio.load_object(args.input))
-    poly = k_tutte(f, threads=args.threads)
+    poly = k_tutte(f)
     if args.weights:
         _weights_guard(y_class(f).values.values(), args.weights)
     payload = _poly_payload(poly)
     payload["nonnegative_coefficients"] = all(
-        c >= 0 for c in poly.coeffs.values())
+        c >= 0 for c in poly.terms.values())
     return _emit(payload, args)
 
 
 def cmd_charpoly(args):
     f = fileio.as_flag_matroid(fileio.load_object(args.input))
-    poly = k_tutte(f, threads=args.threads)
+    poly = k_tutte(f)
     chi = characteristic_poly(poly, sum(f.ranks))
     verdict = log_concavity(chi)
     payload = fileio.univar_to_json(chi)
@@ -121,9 +124,8 @@ def cmd_charpoly(args):
 
 def cmd_qprime(args):
     p = fileio.as_polymatroid(fileio.load_object(args.input))
-    polytope = poly_base_polytope(p)
-    coeffs = q_coefficients(polytope)
-    payload = _poly_payload(qprime(polytope))
+    coeffs = q_coefficients(poly_base_polytope(p))
+    payload = _poly_payload(_from_shifted(coeffs))
     payload["binomial_coefficients"] = [
         {"i": i, "j": j, "c": str(c)} for (i, j), c in sorted(coeffs.items())]
     return _emit(payload, args)
@@ -150,7 +152,7 @@ def cmd_polytope(args):
 
 def cmd_yclass(args):
     f = fileio.as_flag_matroid(fileio.load_object(args.input))
-    cls = y_class(f, threads=args.threads)
+    cls = y_class(f)
     if args.weights:
         _weights_guard(cls.values.values(), args.weights)
     items = cls.items()
@@ -223,8 +225,6 @@ def build_parser():
     parser.add_argument("--method", default="all",
                         choices=["rank", "delcon", "activity", "all"],
                         help="tutte computation route")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel fixed-point evaluation")
     parser.add_argument("--output", default="json",
                         choices=["json", "text"])
     parser.add_argument("--fixed-point", default=None,

@@ -107,6 +107,10 @@ class BadWeights(FlagTutteError):
     pass
 
 
+class EvaluationMismatch(FlagTutteError):
+    pass
+
+
 class SpaceMismatch(FlagTutteError):
     pass
 

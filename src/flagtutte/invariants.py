@@ -8,93 +8,21 @@ two for matroids, the slice recurrence report, and the characteristic
 polynomial with its log-concavity check.
 """
 
+from collections import Counter
 from math import comb
 
 from .errors import FitMismatch, Verdict
+from .laurent import LaurentPoly
 from .lattice import (base_polytope, count_shifted, lattice_points,
                       polytope_from_lattice_points, poly_base_polytope)
 from .polyflag import Polymatroid
 
 
-class BivarPoly:
-    """Integer bivariate polynomial, dict keyed by (i, j) for x^i y^j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if c:
-                    self.coeffs[tuple(k)] = c
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def term(cls, i, j, c=1):
-        return cls({(i, j): c})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return BivarPoly(out)
-
-    def __neg__(self):
-        return BivarPoly({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BivarPoly({k: c * other for k, c in self.coeffs.items()})
-        out = {}
-        for (a, b), c1 in self.coeffs.items():
-            for (i, j), c2 in other.coeffs.items():
-                k = (a + i, b + j)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return BivarPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = BivarPoly.term(0, 0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, BivarPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def evaluate(self, x, y):
-        return sum(c * x ** i * y ** j for (i, j), c in self.coeffs.items())
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items())
-
-    def __repr__(self):
-        return f"BivarPoly({format_bivar(self)})"
-
-
 def format_bivar(p, names=("x", "y")):
-    if not p.coeffs:
+    if p.is_zero():
         return "0"
     parts = []
-    for (i, j), c in sorted(p.coeffs.items(), reverse=True):
+    for (i, j), c in sorted(p.terms.items(), reverse=True):
         mono = "".join(
             n if e == 1 else f"{n}^{e}"
             for n, e in zip(names, (i, j)) if e
@@ -106,22 +34,34 @@ def format_bivar(p, names=("x", "y")):
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-X_MINUS_1 = BivarPoly({(1, 0): 1, (0, 0): -1})
-Y_MINUS_1 = BivarPoly({(0, 1): 1, (0, 0): -1})
+X_MINUS_1 = LaurentPoly(2, {(1, 0): 1, (0, 0): -1})
+Y_MINUS_1 = LaurentPoly(2, {(0, 1): 1, (0, 0): -1})
+
+
+def _from_shifted(coeffs):
+    """The polynomial sum c_ij (x-1)^i (y-1)^j, given {(i, j): c_ij}."""
+    terms = {}
+    for (i, j), c in coeffs.items():
+        for a in range(i + 1):
+            ca = c * comb(i, a) * (-1) ** (i - a)
+            for b in range(j + 1):
+                v = ca * comb(j, b) * (-1) ** (j - b)
+                terms[(a, b)] = terms.get((a, b), 0) + v
+    return LaurentPoly(2, terms)
+
+
+def _corank_nullity_counts(matroid):
+    """Number of subsets with each (corank, nullity) pair."""
+    rk = matroid.k
+    return Counter((rk - r, bin(m).count("1") - r)
+                   for m, r in enumerate(matroid.rank_table()))
 
 
 # ------------------------------------------------------------ Tutte routes
 
 def tutte_rank_nullity(matroid):
-    """Corank-nullity sum over all 2^n subsets."""
-    table = matroid.rank_table()
-    rk = matroid.k
-    out = BivarPoly.zero()
-    for m in range(1 << matroid.n):
-        corank = rk - table[m]
-        nullity = bin(m).count("1") - table[m]
-        out = out + X_MINUS_1 ** corank * Y_MINUS_1 ** nullity
-    return out
+    """Corank-nullity sum over all 2^n subsets, grouped by the pair."""
+    return _from_shifted(_corank_nullity_counts(matroid))
 
 
 def tutte_delcon(matroid):
@@ -130,14 +70,14 @@ def tutte_delcon(matroid):
 
     def rec(m):
         if m.n == 0:
-            return BivarPoly.term(0, 0)
+            return LaurentPoly.one(2)
         key = (m.n, m.bases)
         if key in memo:
             return memo[key]
         if 0 in m.loops():
-            out = BivarPoly.term(0, 1) * rec(m.delete(0))
+            out = rec(m.delete(0)).shift((0, 1))
         elif 0 in m.coloops():
-            out = BivarPoly.term(1, 0) * rec(m.contract(0))
+            out = rec(m.contract(0)).shift((1, 0))
         else:
             out = rec(m.delete(0)) + rec(m.contract(0))
         memo[key] = out
@@ -150,7 +90,7 @@ def tutte_activity(matroid):
     """Basis-activity sum under the natural element order."""
     basis_set = {frozenset(b) for b in matroid.bases}
     ground = set(range(matroid.n))
-    out = BivarPoly.zero()
+    counts = Counter()
     for b in matroid.bases:
         bs = frozenset(b)
         internal = 0
@@ -166,13 +106,14 @@ def tutte_activity(matroid):
             circuit = [x for x in bs | {e} if (bs | {e}) - {x} in basis_set]
             if e == min(circuit):
                 external += 1
-        out = out + BivarPoly.term(internal, external)
-    return out
+        counts[(internal, external)] += 1
+    return LaurentPoly(2, counts)
 
 
 def tutte_eval(matroid, point):
     x, y = point
-    return tutte_rank_nullity(matroid).evaluate(x, y)
+    return sum(c * x ** i * y ** j
+               for (i, j), c in tutte_rank_nullity(matroid).terms.items())
 
 
 # ----------------------------------------------- lattice-count polynomials
@@ -210,10 +151,7 @@ def q_coefficients(p):
 
 def qprime(p):
     """The counting polynomial rewritten as sum c_ij (x-1)^i (y-1)^j."""
-    out = BivarPoly.zero()
-    for (i, j), cv in q_coefficients(p).items():
-        out = out + cv * X_MINUS_1 ** i * Y_MINUS_1 ** j
-    return out
+    return _from_shifted(q_coefficients(p))
 
 
 def qprime_of_polymatroid(p):
@@ -227,17 +165,13 @@ def ttoq_check(matroid):
     sum_S (x-1)^{cork S} (y-1)^{null S} x^{|E|-|S|-cork S} y^{r(S)}.
     """
     qp = qprime(base_polytope(matroid))
-    lhs = BivarPoly({(1, 0): 1, (0, 1): 1, (0, 0): -1}) * qp
-    table = matroid.rank_table()
-    rk = matroid.k
-    rhs = BivarPoly.zero()
-    for m in range(1 << matroid.n):
-        r = table[m]
-        size = bin(m).count("1")
-        cork, null = rk - r, size - r
-        term = (X_MINUS_1 ** cork * Y_MINUS_1 ** null
-                * BivarPoly.term(matroid.n - size - cork, r))
-        rhs = rhs + term
+    lhs = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1}) * qp
+    rhs = LaurentPoly.zero(2)
+    for (cork, null), count in _corank_nullity_counts(matroid).items():
+        r = matroid.k - cork
+        size = null + r
+        rhs = rhs + _from_shifted({(cork, null): count}).shift(
+            (matroid.n - size - cork, r))
     if lhs == rhs:
         return Verdict(True)
     return Verdict(False, "identity fails", witness=(lhs, rhs))
@@ -309,7 +243,7 @@ def characteristic_poly(tutte, rank):
     """Coefficients of (-1)^rank T(1 - lambda, 0), ascending in lambda."""
     coeffs = {}
     sign = -1 if rank % 2 else 1
-    for (i, j), c in tutte.coeffs.items():
+    for (i, j), c in tutte.terms.items():
         if j:
             continue
         # (1 - lambda)^i expanded

@@ -16,25 +16,14 @@ invariant; every division along the way must be exact.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InexactDivision, SpaceMismatch, OutOfRange, Verdict
-from .laurent import KRational, LaurentPoly
+from .laurent import KRational, LaurentPoly, _vsub
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
-from .invariants import BivarPoly
 
 
 def _unit(n, i):
     return tuple(1 if k == i else 0 for k in range(n))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _chain_str(chain):
-    return "|".join("".join(map(str, part)) if all(x < 10 for x in part)
-                    else ",".join(map(str, part)) for part in chain)
 
 
 def parse_chain(text):
@@ -262,7 +251,7 @@ def _y_value(space, flag_poly, chain):
     return hilbert_numerator(cone, denom)
 
 
-def y_class(flag_matroid, threads=1):
+def y_class(flag_matroid):
     """Localization class of a flag matroid.
 
     Zero on non-basis flags; on a basis flag, the numerator of the vertex
@@ -274,9 +263,8 @@ def y_class(flag_matroid, threads=1):
     poly = flag_polytope(flag_matroid)
     flags = [chain for chain in space.fixed_points()
              if all(by_rank[len(part)].is_basis(part) for part in chain)]
-    values = _map_maybe_parallel(
-        lambda chain: _y_value(space, poly, chain), flags, threads)
-    cls = EquivariantClass(space, dict(zip(flags, values)))
+    cls = EquivariantClass(
+        space, {chain: _y_value(space, poly, chain) for chain in flags})
     cls.assert_gkm("y_class")
     return cls
 
@@ -321,7 +309,7 @@ def _pushforward_value(space, cls, target_space, point):
     return total.as_laurent()
 
 
-def pushforward_to_pp(cls, threads=1):
+def pushforward_to_pp(cls):
     """Pushforward along (first, last) to the line-hyperplane product.
 
     The source must be a flag space whose distinct ranks start at 1 and end
@@ -335,11 +323,9 @@ def pushforward_to_pp(cls, threads=1):
         raise SpaceMismatch(
             f"pushforward needs ranks from 1 to n-1, got {space.ranks}")
     target = ProjProductSpace(n)
-    points = target.fixed_points()
-    values = _map_maybe_parallel(
-        lambda pt: _pushforward_value(space, cls, target, pt),
-        points, threads)
-    out = EquivariantClass(target, dict(zip(points, values)))
+    out = EquivariantClass(
+        target, {pt: _pushforward_value(space, cls, target, pt)
+                 for pt in target.fixed_points()})
     out.assert_gkm("pushforward")
     return out
 
@@ -390,11 +376,11 @@ def to_nonequivariant(cls):
                 e_i * _coordinate_class_hyperplane(n, m, m))
             if not quot.is_zero():
                 coeffs[(i, m)] = quot
-    out = BivarPoly({(b, a): c.subs_one() for (a, b), c in coeffs.items()})
-    return out
+    return LaurentPoly(2, {(b, a): c.subs_one()
+                           for (a, b), c in coeffs.items()})
 
 
-def k_tutte(flag_matroid, threads=1):
+def k_tutte(flag_matroid):
     """Bivariate polynomial invariant of a flag matroid via localization.
 
     Pipeline: localization class, product with the line-bundle weight,
@@ -406,12 +392,12 @@ def k_tutte(flag_matroid, threads=1):
     if n < 2:
         raise OutOfRange("the construction needs n >= 2")
     space = FlagSpace(n, flag_matroid.ranks)
-    cls = y_class(flag_matroid, threads=threads) * o1_class(space)
+    cls = y_class(flag_matroid) * o1_class(space)
     cls.assert_gkm("product with the line bundle")
     big = FlagSpace(n, (1,) + flag_matroid.ranks + (n - 1,))
     lifted = pullback(cls, big)
     lifted.assert_gkm("pullback")
-    pushed = pushforward_to_pp(lifted, threads=threads)
+    pushed = pushforward_to_pp(lifted)
     return to_nonequivariant(pushed)
 
 
@@ -424,9 +410,3 @@ def compare_qprime_ktutte(flag_matroid):
     kt = k_tutte(flag_matroid)
     return {"qprime": qp, "k_tutte": kt, "equal": qp == kt}
 
-
-def _map_maybe_parallel(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]

@@ -23,16 +23,8 @@ from math import ceil, floor
 from .errors import (NegativeShift, NoDecomposition, NotAVertex, NotPointed,
                      OutOfRange, Verdict)
 from . import linalg
-from .laurent import KRational, LaurentPoly
+from .laurent import KRational, LaurentPoly, _vadd, _vsub
 from .polyflag import polymatroid_of_flag
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _dot(a, b):

@@ -334,14 +334,6 @@ def _poly_product(nvars, exps):
     return p
 
 
-def kr_add(a, b):
-    return a + b
-
-
-def kr_mul(a, b):
-    return a * b
-
-
 def evaluate_at_one(f, weights):
     """Evaluate at t_i -> 1 through the one-parameter subgroup t_i = z^{w_i}.
 

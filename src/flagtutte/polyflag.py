@@ -12,15 +12,8 @@ from fractions import Fraction
 from .errors import (AxiomViolation, MismatchedGroundSets, NotConcordant,
                      NotNested, OutOfRange, RankBoundTooSmall, Verdict)
 from . import linalg
-from .matroid import (Matroid, check_ordering, check_rank_axioms, gale_key,
-                      matroid_from_matrix)
-
-
-def _mask(subset):
-    m = 0
-    for e in subset:
-        m |= 1 << e
-    return m
+from .matroid import (Matroid, _mask, check_ordering, check_rank_axioms,
+                      gale_key, matroid_from_matrix)
 
 
 class Polymatroid:

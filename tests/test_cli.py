@@ -85,24 +85,29 @@ class TestKTutte:
         assert code == 0 and doc["pretty"] == "x + y"
 
     def test_uniform_flag_on_five(self, capsys):
-        code, doc = run_json(capsys, "ktutte", FIXTURES / "flag_u23_5.json",
-                             "--threads=2")
+        code, doc = run_json(capsys, "ktutte", FIXTURES / "flag_u23_5.json")
         assert code == 0
         assert doc["pretty"] == ("x^3y^3 + 2x^3y^2 + 3x^3y + 4x^3 + 2x^2y^3"
                                  " + 8x^2y^2 + 8x^2y + 2x^2 + 3xy^3 + 8xy^2"
                                  " + 4xy + 4y^3 + 2y^2")
 
-    def test_byte_identical_across_threads_and_weights(self, capsys):
+    def test_byte_identical_across_weights(self, capsys):
         outs = set()
-        for extra in (["--threads=1"], ["--threads=2"],
-                      ["--threads=1", "--weights=1,2,3"],
-                      ["--threads=2", "--weights=7,11,13"],
-                      ["--threads=1", "--weights=3,1,2"]):
+        for extra in ([], ["--weights=1,2,3"], ["--weights=7,11,13"],
+                      ["--weights=3,1,2"]):
             code, out = run(capsys, "ktutte", FIXTURES / "flag_rank12.json",
                             *extra)
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+    def test_weights_mismatch_exits_one(self, capsys, monkeypatch):
+        import flagtutte.cli as cli
+        monkeypatch.setattr(cli, "evaluate_at_one", lambda f, w: -1)
+        code, doc = run_json(capsys, "ktutte", FIXTURES / "flag_rank12.json",
+                             "--weights=1,2,3")
+        assert code == 1
+        assert doc["ok"] is False and doc["error"] == "EvaluationMismatch"
 
 
 class TestCharpoly:

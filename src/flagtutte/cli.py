@@ -21,7 +21,7 @@ from .lattice import (base_polytope, edges, is_normal, lattice_points,
                       poly_base_polytope)
 from .laurent import KRational, evaluate_at_one, format_poly
 from .matroid import Matroid, cover_by_independent, union_rank
-from .polyflag import FlagMatroid, Polymatroid, is_quotient, quotient_witness
+from .polyflag import FlagMatroid, Polymatroid, quotient_witness
 
 
 def _emit(payload, args):
@@ -174,11 +174,10 @@ def cmd_quotient(args):
     pair = fileio.load_object(args.input)
     if not isinstance(pair, tuple):
         raise FlagTutteError("quotient needs a matroid_pair document")
-    n, m = pair
-    ok = is_quotient(n, m)
-    payload = {"is_quotient": ok}
-    if not ok:
-        payload["witness"] = [list(s) for s in quotient_witness(n, m)]
+    witness = quotient_witness(*pair)
+    payload = {"is_quotient": witness is None}
+    if witness is not None:
+        payload["witness"] = [list(s) for s in witness]
     return _emit(payload, args)
 
 
@@ -186,6 +185,8 @@ def cmd_union(args):
     matroids = fileio.load_object(args.input)
     if not isinstance(matroids, list):
         raise FlagTutteError("union needs a matroid_list document")
+    if not matroids:
+        raise FlagTutteError("union needs at least one matroid")
     full = range(matroids[0].n)
     cover = cover_by_independent(matroids)
     payload = {

@@ -94,6 +94,18 @@ class InexactDivision(FlagTutteError):
     pass
 
 
+class CheckFailed(FlagTutteError):
+    """An exactness check inside a computation failed.
+
+    `stage` names the computation and `witness` holds the data that failed
+    the check.  Raised where an `assert` would vanish under ``python -O``.
+    """
+
+    def __init__(self, stage, reason, witness):
+        self.stage, self.witness = stage, witness
+        super().__init__(f"{stage}: {reason}, witness {witness}")
+
+
 class PoleAtOne(FlagTutteError):
     def __init__(self, num_order, den_order):
         self.num_order, self.den_order = num_order, den_order

@@ -7,12 +7,13 @@ and stringifies coefficients so arbitrary precision survives any consumer.
 """
 
 import json
+from fractions import Fraction
 
 from .errors import ParseError, SchemaError
 from .matroid import Matroid, matroid_from_bases, matroid_from_graph, \
     matroid_from_matrix
 from .polyflag import FlagMatroid, Polymatroid, flag_from_constituents, \
-    polymatroid_from_matroid, polymatroid_from_rank
+    polymatroid_from_matroid, polymatroid_from_rank, polymatroid_of_flag
 
 
 def load_document(path):
@@ -35,50 +36,99 @@ def _require(doc, key, kind):
     return doc[key]
 
 
+def _is_int(x):
+    return isinstance(x, int)
+
+
+def _is_rational(x):
+    """An int, a finite float or a string such as "-3/4"."""
+    if not isinstance(x, (int, float, str)):
+        return False
+    try:
+        Fraction(x)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _list_of(is_item, length=None):
+    def check(x):
+        return (isinstance(x, list) and all(map(is_item, x))
+                and length in (None, len(x)))
+    return check
+
+
+def _field(doc, key, kind, is_valid, what):
+    """A required field's value; SchemaError if it has the wrong type."""
+    value = _require(doc, key, kind)
+    if not is_valid(value):
+        raise SchemaError(f"{kind} field '{key}' must be {what}")
+    return value
+
+
 def parse_object(doc):
     """Dispatch a document on its "type" tag to a validated object."""
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
     kind = doc.get("type")
     if kind == "matroid":
-        n = _require(doc, "n", kind)
-        bases = _require(doc, "bases", kind)
+        n = _field(doc, "n", kind, _is_int, "an integer")
+        bases = _field(doc, "bases", kind, _list_of(_list_of(_is_int)),
+                       "a list of integer lists")
         if _one_indexed(doc):
             bases = [[e - 1 for e in b] for b in bases]
         return matroid_from_bases(n, bases)
     if kind == "matrix":
-        return matroid_from_matrix(_require(doc, "rows", kind))
+        return matroid_from_matrix(_field(
+            doc, "rows", kind, _list_of(_list_of(_is_rational)),
+            "a list of rows of rationals"))
     if kind == "graph":
-        edges = _require(doc, "edges", kind)
+        edges = _field(doc, "edges", kind, _list_of(_list_of(_is_int, 2)),
+                       "a list of integer pairs")
         vertices = doc.get("vertices")
+        if vertices is not None:
+            _field(doc, "vertices", kind, _is_int, "an integer")
         if _one_indexed(doc):
             edges = [[u - 1, v - 1] for u, v in edges]
         return matroid_from_graph(edges, vertices)
     if kind == "polymatroid":
-        return polymatroid_from_rank(_require(doc, "n", kind),
-                                     _require(doc, "rank", kind))
+        return polymatroid_from_rank(
+            _field(doc, "n", kind, _is_int, "an integer"),
+            _field(doc, "rank", kind, _list_of(_is_int), "a list of integers"))
     if kind == "flag_matroid":
+        subs = _field(doc, "constituents", kind,
+                      _list_of(lambda x: isinstance(x, dict)),
+                      "a list of objects")
         constituents = [parse_object(sub if "type" in sub
                                      else {"type": "matroid", **sub,
                                            "indexing": doc.get("indexing", "0")})
-                        for sub in _require(doc, "constituents", kind)]
-        for c in constituents:
-            if not isinstance(c, Matroid):
-                raise SchemaError("flag constituents must be matroids")
+                        for sub in subs]
+        _require_matroids(constituents, "flag constituents")
         flag = flag_from_constituents(constituents)
         ranks = doc.get("ranks")
-        if ranks is not None and tuple(ranks) != flag.ranks:
+        if ranks is not None and (not isinstance(ranks, list)
+                                  or tuple(ranks) != flag.ranks):
             raise SchemaError(
                 f"declared ranks {ranks} do not match constituents "
                 f"{flag.ranks}")
         return flag
     if kind == "matroid_pair":
-        return (parse_object(_require(doc, "N", kind)),
+        pair = (parse_object(_require(doc, "N", kind)),
                 parse_object(_require(doc, "M", kind)))
+        _require_matroids(pair, "matroid_pair members")
+        return pair
     if kind == "matroid_list":
-        return [parse_object(sub)
-                for sub in _require(doc, "matroids", kind)]
+        subs = _field(doc, "matroids", kind, lambda x: isinstance(x, list),
+                      "a list")
+        matroids = [parse_object(sub) for sub in subs]
+        _require_matroids(matroids, "matroid_list members")
+        return matroids
     raise SchemaError(f"unknown document type {kind!r}")
+
+
+def _require_matroids(objects, what):
+    if not all(isinstance(obj, Matroid) for obj in objects):
+        raise SchemaError(f"{what} must be matroids")
 
 
 def load_object(path):
@@ -101,7 +151,6 @@ def as_flag_matroid(obj):
 
 
 def as_polymatroid(obj):
-    from .polyflag import polymatroid_of_flag
     if isinstance(obj, Polymatroid):
         return obj
     if isinstance(obj, Matroid):

@@ -17,7 +17,8 @@ invariant; every division along the way must be exact.
 
 import itertools
 
-from .errors import InexactDivision, SpaceMismatch, OutOfRange, Verdict
+from .errors import (InexactDivision, OutOfRange, ParseError, SpaceMismatch,
+                     Verdict)
 from .laurent import KRational, LaurentPoly, _vsub
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
 
@@ -27,13 +28,17 @@ def _unit(n, i):
 
 
 def parse_chain(text):
-    """Inverse of the flag string: "0|01" -> ((0,), (0, 1))."""
+    """Inverse of the flag string: "0|01" -> ((0,), (0, 1)).
+
+    Raises ParseError when a block is not made of element labels.
+    """
     parts = []
     for block in text.split("|"):
-        if "," in block:
-            parts.append(tuple(sorted(int(x) for x in block.split(","))))
-        else:
-            parts.append(tuple(sorted(int(ch) for ch in block)))
+        labels = block.split(",") if "," in block else block
+        try:
+            parts.append(tuple(sorted(int(x) for x in labels)))
+        except ValueError as exc:
+            raise ParseError(f"bad flag string {text!r}: {exc}") from exc
     return tuple(parts)
 
 

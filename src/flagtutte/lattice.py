@@ -3,8 +3,12 @@
 Every polytope this library produces is a generalized permutohedron, so
 membership, lattice-point enumeration and face computations all run off the
 submodular description z: x(S) <= z(S) for all S with x(E) = z(E), kept as
-a full bitmask table.  Polytopes given only by vertices (test
-counterexamples, slices) fall back to exact convex-hull membership.
+a full bitmask table.  Subset sums x(S) come from one table, vertices from
+the greedy rule of :mod:`flagtutte.polyflag`, and lattice points from one
+walk over the table that fixes a coordinate per level and closes the last
+two by an interval; the same walk lists the points or only counts them.
+Polytopes given only by vertices (test counterexamples, slices) fall back
+to exact convex-hull membership.
 
 Cones are triangulated by a pulling triangulation over their extreme rays;
 pieces are made half-open towards a deterministic generic interior vector,
@@ -20,11 +24,11 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import (NegativeShift, NoDecomposition, NotAVertex, NotPointed,
-                     OutOfRange, Verdict)
+from .errors import (CheckFailed, NegativeShift, NoDecomposition, NotAVertex,
+                     NotPointed, OutOfRange, Verdict)
 from . import linalg
 from .laurent import KRational, LaurentPoly, _vadd, _vsub
-from .polyflag import polymatroid_of_flag
+from .polyflag import _greedy_vertex, polymatroid_of_flag
 
 
 def _dot(a, b):
@@ -61,8 +65,7 @@ class LatticePolytope:
         verts = [_vadd(v, shift) for v in self.vertices]
         z = None
         if self.z is not None:
-            z = [self.z[m] + sum(shift[i] for i in range(self.n) if m >> i & 1)
-                 for m in range(1 << self.n)]
+            z = [zm + sm for zm, sm in zip(self.z, _subset_sums(shift))]
         return LatticePolytope(self.n, verts, z)
 
     def dilate(self, k):
@@ -81,30 +84,22 @@ class LatticePolytope:
         return f"LatticePolytope(n={self.n}, {len(self.vertices)} vertices)"
 
 
+def _subset_sums(v):
+    """x(S) for every subset S of the coordinates, indexed by bitmask."""
+    sums = [0] * (1 << len(v))
+    for m in range(1, len(sums)):
+        low = m & -m
+        sums[m] = sums[m ^ low] + v[low.bit_length() - 1]
+    return sums
+
+
 def _gp_contains(n, z, point):
     if len(point) != n:
         raise OutOfRange(f"point has {len(point)} coordinates, need {n}")
-    full = (1 << n) - 1
-    if sum(point) != z[full]:
-        return False
-    for m in range(1, full):
-        s = 0
-        for i in range(n):
-            if m >> i & 1:
-                s += point[i]
-        if s > z[m]:
-            return False
-    return True
-
-
-def _greedy_vertex(n, z, order):
-    x = [0] * n
-    m = 0
-    for e in order:
-        before = z[m]
-        m |= 1 << e
-        x[e] = z[m] - before
-    return tuple(x)
+    sums = _subset_sums(point)
+    full = len(sums) - 1
+    return sums[full] == z[full] and all(sums[m] <= z[m]
+                                         for m in range(1, full))
 
 
 def _gp_vertices(n, z):
@@ -141,9 +136,7 @@ def polytope_from_lattice_points(points):
     if not points:
         raise OutOfRange("empty point set")
     n = len(points[0])
-    z = [max(sum(p[i] for i in range(n) if m >> i & 1) for p in points)
-         for m in range(1 << n)]
-    z[0] = 0
+    z = [max(col) for col in zip(*map(_subset_sums, points))]
     sums = {sum(p) for p in points}
     if len(sums) != 1 or lattice_points_of_table(n, z) != points:
         raise OutOfRange("point set is not a generalized permutohedron")
@@ -152,76 +145,63 @@ def polytope_from_lattice_points(points):
 
 # ------------------------------------------------------ lattice enumeration
 
-def lattice_points_of_table(n, z):
-    """Integer points of {x(S) <= z(S), x(E) = z(E)}, lex sorted."""
-    full = (1 << n) - 1
-    out = []
-    x = [0] * n
+def _table_walk(n, z, points):
+    """Integer points of {x(S) <= z(S), x(E) = z(E)}, one coordinate a level.
 
-    def rec(j, psums):
-        if j == n - 1:
-            v = z[full] - psums[-1]
-            for s in range(1 << j):
-                if psums[s] + v > z[s | (1 << j)]:
-                    return
-            x[j] = v
-            out.append(tuple(x))
-            return
-        hi = min(z[s | (1 << j)] - psums[s] for s in range(1 << j))
-        rest = 0
-        for i in range(j + 1, n):
-            rest |= 1 << i
-        maxrest = min(z[rest | s] - psums[s] for s in range(1 << j))
-        lo = z[full] - psums[-1] - maxrest
-        for v in range(lo, hi + 1):
-            x[j] = v
-            rec(j + 1, psums + [ps + v for ps in psums])
-
-    if n == 1:
-        pt = (z[full],)
-        return [pt] if z[full] <= z[1] else []
-    rec(0, [0])
-    return out
-
-
-def count_lattice_points_of_table(n, z):
-    """Same predicate as :func:`lattice_points_of_table`, counted.
-
-    Closes the last two coordinates by an interval computation instead of
-    enumerating them, which is what makes rank-5 grids affordable.
+    Level j fixes x_j between the bounds that the sets with largest element
+    j and the sets containing all of j+1..n-1 put on it, given the subset
+    sums of x_0..x_{j-1}.  The last two coordinates a, b close by the
+    interval x_a in [s - u_b, u_a] with x_b = s - x_a, where s is what is
+    left of z(E).  Returns the number of points; when `points` is a list,
+    the points are also appended to it in lex order.
     """
     full = (1 << n) - 1
     if n == 1:
-        return 1 if z[full] <= z[1] else 0
-    count = 0
+        if z[full] > z[1]:
+            return 0
+        if points is not None:
+            points.append((z[full],))
+        return 1
     a, b = n - 2, n - 1
     mask_a, mask_b, mask_ab = 1 << a, 1 << b, (1 << a) | (1 << b)
+    x = [0] * n
 
     def rec(j, psums):
-        nonlocal count
         if j == a:
-            s_needed = z[full] - psums[-1]
-            ua = min(z[s | mask_a] - psums[s] for s in range(1 << j))
-            ub = min(z[s | mask_b] - psums[s] for s in range(1 << j))
-            for s in range(1 << j):
-                if psums[s] + s_needed > z[s | mask_ab]:
-                    return
-            # x_a in [s_needed - ub, ua], x_b determined
-            width = ua + ub - s_needed + 1
-            if width > 0:
-                count += width
-            return
-        hi = min(z[s | (1 << j)] - psums[s] for s in range(1 << j))
-        rest = 0
-        for i in range(j + 1, n):
-            rest |= 1 << i
-        maxrest = min(z[rest | s] - psums[s] for s in range(1 << j))
-        lo = z[full] - psums[-1] - maxrest
+            s = z[full] - psums[-1]
+            for m in range(1 << j):
+                if psums[m] + s > z[m | mask_ab]:
+                    return 0
+            ua = min(z[m | mask_a] - psums[m] for m in range(1 << j))
+            ub = min(z[m | mask_b] - psums[m] for m in range(1 << j))
+            if points is not None:
+                for v in range(s - ub, ua + 1):
+                    x[a], x[b] = v, s - v
+                    points.append(tuple(x))
+            return max(ua + ub - s + 1, 0)
+        hi = min(z[m | (1 << j)] - psums[m] for m in range(1 << j))
+        rest = full ^ ((2 << j) - 1)
+        lo = z[full] - psums[-1] - min(z[rest | m] - psums[m]
+                                       for m in range(1 << j))
+        count = 0
         for v in range(lo, hi + 1):
-            rec(j + 1, psums + [ps + v for ps in psums])
+            x[j] = v
+            count += rec(j + 1, psums + [ps + v for ps in psums])
+        return count
 
-    rec(0, [0])
-    return count
+    return rec(0, [0])
+
+
+def lattice_points_of_table(n, z):
+    """Integer points of {x(S) <= z(S), x(E) = z(E)}, lex sorted."""
+    points = []
+    _table_walk(n, z, points)
+    return points
+
+
+def count_lattice_points_of_table(n, z):
+    """Number of points :func:`lattice_points_of_table` would list."""
+    return _table_walk(n, z, None)
 
 
 def lattice_points(p):
@@ -240,12 +220,8 @@ def lattice_points(p):
 # ----------------------------------------------------------------- faces
 
 def _tight_masks(n, z, v):
-    full = 1 << n
-    sums = [0] * full
-    for m in range(1, full):
-        low = m & -m
-        sums[m] = sums[m ^ low] + v[low.bit_length() - 1]
-    return frozenset(m for m in range(full) if sums[m] == z[m])
+    sums = _subset_sums(v)
+    return frozenset(m for m in range(1 << n) if sums[m] == z[m])
 
 
 def edges(p):
@@ -385,7 +361,10 @@ class HalfOpenSimplicialCone:
         n = self.n
         rows = [[g[i] for g in self.generators] for i in range(n)]  # n x d
         pinv, diag = linalg.integer_diagonalize(rows)
-        assert len(diag) == d, "generators must be linearly independent"
+        if len(diag) != d:
+            raise CheckFailed("parallelepiped points",
+                              "generators are linearly dependent",
+                              self.generators)
         points = []
         for residue in itertools.product(*[range(di) for di in diag]):
             x0 = [sum(pinv[i][j] * residue[j] for j in range(d))
@@ -400,9 +379,13 @@ class HalfOpenSimplicialCone:
             pt = tuple(
                 sum(sj * self.generators[j][i] for j, sj in enumerate(shifted))
                 for i in range(n))
-            assert all(x.denominator == 1 for x in map(Fraction, pt))
+            if any(Fraction(x).denominator != 1 for x in pt):
+                raise CheckFailed("parallelepiped points",
+                                  "point is not integral", pt)
             points.append(tuple(int(x) for x in pt))
-        assert len(set(points)) == len(points)
+        if len(set(points)) != len(points):
+            raise CheckFailed("parallelepiped points",
+                              "a residue class repeats", self.generators)
         return sorted(points)
 
     def __repr__(self):
@@ -431,10 +414,11 @@ def _facet_normals_piece(coord_gens):
             normals.append(list(coord_gens[j]))
             continue
         ns = linalg.nullspace(others)
-        assert len(ns) == 1
+        val = _dot(ns[0], coord_gens[j]) if len(ns) == 1 else 0
+        if val == 0:
+            raise CheckFailed("facet normals",
+                              "generators are linearly dependent", coord_gens)
         h = ns[0]
-        val = _dot(h, coord_gens[j])
-        assert val != 0
         if val < 0:
             h = [-x for x in h]
         normals.append(h)
@@ -477,7 +461,9 @@ def _pulling_triangulation(rays, indices):
     pivot = 0
     out = []
     facets = _facets_of(coord_rays)
-    assert facets, "a non-simplicial cone must have facets"
+    if not facets:
+        raise CheckFailed("pulling triangulation",
+                          "a non-simplicial cone has no facets", rays)
     for facet in facets:
         if pivot in facet:
             continue
@@ -486,7 +472,8 @@ def _pulling_triangulation(rays, indices):
         for piece in _pulling_triangulation(sub_rays,
                                             [indices[i] for i in sub_idx]):
             out.append(tuple(sorted(set(piece) | {indices[pivot]})))
-    assert out, "pulling produced no pieces"
+    if not out:
+        raise CheckFailed("pulling triangulation", "no pieces", rays)
     return out
 
 
@@ -526,9 +513,11 @@ def triangulate(cone):
 
 
 def hilbert_series(cone):
-    """Exact Hilbert series sum_{a in C cap Z^n} t^a as a KRational."""
-    if not cone.is_pointed():
-        raise NotPointed("cone contains a line")
+    """Exact Hilbert series sum_{a in C cap Z^n} t^a as a KRational.
+
+    Raises NotPointed, through :meth:`RationalCone.rays`, when the cone
+    contains a line.
+    """
     n = cone.n
     total = KRational(LaurentPoly.zero(n))
     for piece in triangulate(cone):
@@ -543,7 +532,7 @@ def hilbert_series(cone):
 def hilbert_numerator(cone, denom):
     """The Laurent polynomial Hilb(C) * prod_{a in denom} (1 - t^a).
 
-    Exactness is asserted: a leftover denominator factor raises
+    Exactness is checked: a leftover denominator factor raises
     InexactDivision and signals an upstream bug.
     """
     kr = hilbert_series(cone)

@@ -10,7 +10,8 @@ happen factor by factor and stay exact.
 
 from fractions import Fraction
 
-from .errors import BadWeights, DimensionMismatch, InexactDivision, PoleAtOne
+from .errors import (BadWeights, CheckFailed, DimensionMismatch,
+                     InexactDivision, PoleAtOne)
 
 
 def _vadd(a, b):
@@ -322,7 +323,9 @@ def _multiset_sub(a, b):
         counts[t] -= 1
     out = []
     for t in sorted(counts):
-        assert counts[t] >= 0
+        if counts[t] < 0:
+            raise CheckFailed("multiset difference",
+                              "subtrahend is not contained", (a, b))
         out.extend([t] * counts[t])
     return tuple(out)
 

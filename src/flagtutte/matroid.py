@@ -284,8 +284,8 @@ def gale_max(matroid, order):
     """The Gale-maximal basis for the linear order (smallest element first).
 
     Computed greedily: scan elements from omega-largest down, keeping each
-    one that preserves independence.  Under __debug__ the result is verified
-    to dominate every basis.
+    one that preserves independence.  The result is verified to be a basis
+    dominating every basis; NotAMatroid names the ordering otherwise.
     """
     check_ordering(matroid.n, order)
     current = []
@@ -293,10 +293,11 @@ def gale_max(matroid, order):
         if matroid.rank(current + [e]) == len(current) + 1:
             current.append(e)
     best = frozenset(current)
-    if __debug__:
-        pos = _positions(order)
-        assert matroid.is_basis(best)
-        assert all(gale_leq(b, best, pos) for b in matroid.bases)
+    pos = _positions(order)
+    if not (matroid.is_basis(best)
+            and all(gale_leq(b, best, pos) for b in matroid.bases)):
+        raise NotAMatroid(f"gale_max: greedy basis {sorted(best)} is not "
+                          f"Gale-maximal for ordering {tuple(order)}")
     return tuple(sorted(best))
 
 
@@ -398,6 +399,8 @@ def matroid_from_graph(edges, vertices=None):
         if seen and max(seen) >= vertices:
             raise OutOfRange("edge endpoint exceeds vertex count")
         nv = vertices
+    if seen and min(seen) < 0:
+        raise OutOfRange("edge endpoint is negative")
     m = len(edges)
     if m == 0:
         raise OutOfRange("graph needs at least one edge")

@@ -55,6 +55,8 @@ class Polymatroid:
 
 def polymatroid_from_rank(n, table):
     """Validate R2, R3 and r(empty)=0, then build the polymatroid."""
+    if n < 0:
+        raise OutOfRange(f"ground set size {n} < 0")
     verdict = check_rank_axioms(tuple(table), n, polymatroid=True)
     if not verdict:
         raise AxiomViolation(verdict.reason.split(":")[0], verdict.witness,
@@ -71,7 +73,9 @@ def poly_bases(p):
     """All integer basis vectors: x >= 0, x(U) <= r(U), x(E) = r(E).
 
     The result is verified against the basis exchange axiom for integer
-    vectors of equal modulus.
+    vectors of equal modulus.  This search is kept apart from the table walk
+    in :mod:`flagtutte.lattice` on purpose: tests use it as the independent
+    oracle for :func:`flagtutte.lattice.lattice_points`.
     """
     out = []
     x = [0] * p.n
@@ -115,42 +119,33 @@ def _verify_vector_exchange(bases):
                                              "integer basis exchange fails")
 
 
+def _greedy_vertex(n, table, order):
+    """x_e = r(S + e) - r(S) along the ordering, S the elements before e."""
+    x = [0] * n
+    m = 0
+    for e in order:
+        before = table[m]
+        m |= 1 << e
+        x[e] = table[m] - before
+    return tuple(x)
+
+
 def vertex_from_ordering(p, order):
     """Greedy vertex of the base polytope: x_i = r(S_i) - r(S_{i-1})."""
     check_ordering(p.n, order)
-    x = [0] * p.n
-    m = 0
-    for e in order:
-        before = p.rank_table[m]
-        m |= 1 << e
-        x[e] = p.rank_table[m] - before
-    return tuple(x)
+    return _greedy_vertex(p.n, p.rank_table, order)
 
 
 def is_quotient(n_matroid, m_matroid):
     """Rank criterion for matroid quotients, exhaustively over nested pairs."""
-    if n_matroid.n != m_matroid.n:
-        raise MismatchedGroundSets(
-            f"{n_matroid.n} vs {m_matroid.n} elements")
-    rn, rm = n_matroid.rank_table(), m_matroid.rank_table()
-    full = (1 << n_matroid.n) - 1
-    y = full
-    while True:
-        x = y
-        while True:
-            if rm[y] - rm[x] < rn[y] - rn[x]:
-                return False
-            if x == 0:
-                break
-            x = (x - 1) & y
-        if y == 0:
-            break
-        y -= 1
-    return True
+    return quotient_witness(n_matroid, m_matroid) is None
 
 
 def quotient_witness(n_matroid, m_matroid):
     """A nested pair violating the quotient criterion, or None."""
+    if n_matroid.n != m_matroid.n:
+        raise MismatchedGroundSets(
+            f"{n_matroid.n} vs {m_matroid.n} elements")
     rn, rm = n_matroid.rank_table(), m_matroid.rank_table()
     for y in range(1 << n_matroid.n):
         x = y
@@ -231,9 +226,9 @@ def flag_from_constituents(matroids):
         raise NotConcordant(0, 0, tuple(ranks))
     for i in range(len(matroids)):
         for j in range(i + 1, len(matroids)):
-            if not is_quotient(matroids[i], matroids[j]):
-                raise NotConcordant(i, j, quotient_witness(matroids[i],
-                                                           matroids[j]))
+            witness = quotient_witness(matroids[i], matroids[j])
+            if witness is not None:
+                raise NotConcordant(i, j, witness)
     return FlagMatroid(matroids[0].n, matroids)
 
 

@@ -185,6 +185,45 @@ class TestQuotientUnion:
         assert sorted(e for part in doc["cover"] for e in part) == [0, 1]
 
 
+def _pair_of_polymatroids():
+    p = {"type": "polymatroid", "n": 1, "rank": [0, 1]}
+    return {"type": "matroid_pair", "N": p, "M": p}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("verb, doc, extra, error", [
+        ("check", {"type": "matroid", "n": 2, "bases": "ab"}, [],
+         "SchemaError"),
+        ("check", {"type": "matroid", "n": 2, "bases": [["a", 1]]}, [],
+         "SchemaError"),
+        ("check", {"type": "matroid", "n": "3", "bases": [[0]]}, [],
+         "SchemaError"),
+        ("check", {"type": "flag_matroid", "constituents": [5]}, [],
+         "SchemaError"),
+        ("check", {"type": "graph", "edges": [[0]]}, [], "SchemaError"),
+        ("check", {"type": "graph", "edges": [[-1, 0], [0, 1]]}, [],
+         "OutOfRange"),
+        ("check", {"type": "matrix", "rows": [["a"]]}, [], "SchemaError"),
+        ("check", {"type": "polymatroid", "n": 1, "rank": [0, "1"]}, [],
+         "SchemaError"),
+        ("check", {"type": "polymatroid", "n": -1, "rank": []}, [],
+         "OutOfRange"),
+        ("quotient", _pair_of_polymatroids(), [], "SchemaError"),
+        ("union", {"type": "matroid_list", "matroids": []}, [],
+         "FlagTutteError"),
+        ("yclass", None, ["--fixed-point=x|y"], "ParseError"),
+    ])
+    def test_exits_one_with_report(self, capsys, tmp_path, verb, doc, extra,
+                                   error):
+        path = FIXTURES / "flag_u23_5.json"
+        if doc is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, verb, path, *extra)
+        assert code == 1
+        assert report["ok"] is False and report["error"] == error
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, capsys):
         first = run(capsys, "polytope", FIXTURES / "flag_rank12.json")

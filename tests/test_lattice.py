@@ -2,10 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagtutte import linalg
-from flagtutte.errors import (NegativeShift, NoDecomposition, NotAVertex,
-                              NotPointed)
+from flagtutte.errors import (FlagTutteError, NegativeShift, NoDecomposition,
+                              NotAVertex, NotPointed)
 from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
                                RationalCone, base_polytope, cone_at_vertex,
                                count_shifted, decompose_lattice_point,
@@ -15,7 +16,7 @@ from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
                                poly_base_polytope,
                                polytope_from_lattice_points, triangulate)
 from flagtutte.laurent import KRational, LaurentPoly
-from flagtutte.matroid import uniform_matroid
+from flagtutte.matroid import matroid_from_matrix, uniform_matroid
 from conftest import m2_rank2
 from test_polyflag import subspace_polymatroid, four_flag_matroid
 
@@ -146,6 +147,10 @@ class TestCones:
         with pytest.raises(NotPointed):
             RationalCone([(1, 1), (-1, -1)]).rays()
 
+    def test_hilbert_series_of_a_line_raises(self):
+        with pytest.raises(NotPointed):
+            hilbert_series(RationalCone([(1, 0), (-1, 0), (0, 1)]))
+
 
 class TestTriangulate:
     def test_simplicial_stays_closed(self):
@@ -184,6 +189,12 @@ class TestParallelepiped:
     def test_unimodular_single_point(self):
         c = HalfOpenSimplicialCone([(1, 0), (0, 1)], (False, False))
         assert c.parallelepiped_points() == [(0, 0)]
+
+    def test_dependent_generators_raise(self):
+        # without the check this returns a wrong point set
+        c = HalfOpenSimplicialCone([(1, 0), (2, 0)], (False, False))
+        with pytest.raises(FlagTutteError):
+            c.parallelepiped_points()
 
     def test_index_two(self):
         c = HalfOpenSimplicialCone([(1, 0), (1, 2)], (False, False))
@@ -374,3 +385,25 @@ class TestCountShifted:
                     got = count_lattice_points_of_table(m.n, tuple(z))
                     assert got == len(lattice_points_of_table(m.n, tuple(z)))
                     assert got == count_shifted(p, u, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=1, max_size=3)), st.integers(0, 2), st.integers(0, 2))
+    def test_walk_matches_box_filter(self, rows, u, t):
+        # oracle: every x in the box z'(E) - z'(E - i) <= x_i <= z'({i})
+        # that satisfies the table, found without the table walk
+        from flagtutte.lattice import (_gp_contains,
+                                       count_lattice_points_of_table,
+                                       lattice_points_of_table)
+        p = base_polytope(matroid_from_matrix(rows))
+        n, full = p.n, (1 << p.n) - 1
+        z = [v + u for v in p.z]
+        z[0], z[full] = 0, p.z[full] + u - t
+        box = [range(z[full] - z[full ^ (1 << i)], z[1 << i] + 1)
+               for i in range(n)]
+        expect = [x for x in itertools.product(*box)
+                  if _gp_contains(n, z, x)]
+        assert lattice_points_of_table(n, tuple(z)) == expect
+        assert count_lattice_points_of_table(n, tuple(z)) == len(expect)
+        assert count_shifted(p, u, t) == len(expect)

@@ -5,7 +5,7 @@ import pytest
 from flagtutte.errors import (EmptyBases, ExchangeViolation,
                               MismatchedGroundSets, NotAMatroid, OutOfRange,
                               UnequalCardinality)
-from flagtutte.matroid import (check_rank_axioms,
+from flagtutte.matroid import (Matroid, check_rank_axioms,
                                cover_by_independent, gale_leq, gale_max,
                                gale_max_family, matroid_from_bases,
                                matroid_from_graph, matroid_from_matrix,
@@ -199,6 +199,11 @@ class TestGale:
                     pos[e] = p
                 assert m.is_basis(best)
                 assert all(gale_leq(b, best, pos) for b in m.bases)
+
+    def test_gale_max_checks_its_result(self):
+        # an unvalidated non-matroid: the greedy basis does not dominate
+        with pytest.raises(NotAMatroid):
+            gale_max(Matroid(4, [(0, 1), (2, 3)]), (0, 2, 3, 1))
 
     def test_non_matroid_family_fails_some_ordering(self):
         family = [(0, 1), (2, 3)]

@@ -51,6 +51,10 @@ def _is_rational(x):
     return True
 
 
+def _is_object(x):
+    return isinstance(x, dict)
+
+
 def _list_of(is_item, length=None):
     def check(x):
         return (isinstance(x, list) and all(map(is_item, x))
@@ -96,8 +100,7 @@ def parse_object(doc):
             _field(doc, "n", kind, _is_int, "an integer"),
             _field(doc, "rank", kind, _list_of(_is_int), "a list of integers"))
     if kind == "flag_matroid":
-        subs = _field(doc, "constituents", kind,
-                      _list_of(lambda x: isinstance(x, dict)),
+        subs = _field(doc, "constituents", kind, _list_of(_is_object),
                       "a list of objects")
         constituents = [parse_object(sub if "type" in sub
                                      else {"type": "matroid", **sub,
@@ -113,13 +116,14 @@ def parse_object(doc):
                 f"{flag.ranks}")
         return flag
     if kind == "matroid_pair":
-        pair = (parse_object(_require(doc, "N", kind)),
-                parse_object(_require(doc, "M", kind)))
+        pair = tuple(parse_object(_field(doc, key, kind, _is_object,
+                                         "an object"))
+                     for key in ("N", "M"))
         _require_matroids(pair, "matroid_pair members")
         return pair
     if kind == "matroid_list":
-        subs = _field(doc, "matroids", kind, lambda x: isinstance(x, list),
-                      "a list")
+        subs = _field(doc, "matroids", kind, _list_of(_is_object),
+                      "a list of objects")
         matroids = [parse_object(sub) for sub in subs]
         _require_matroids(matroids, "matroid_list members")
         return matroids

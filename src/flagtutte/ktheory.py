@@ -19,7 +19,7 @@ import itertools
 
 from .errors import (InexactDivision, OutOfRange, ParseError, SpaceMismatch,
                      Verdict)
-from .laurent import KRational, LaurentPoly, _vsub
+from .laurent import KRational, LaurentPoly, _poly_product, _vsub
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
 
 
@@ -335,52 +335,45 @@ def pushforward_to_pp(cls):
     return out
 
 
-def _coordinate_class_line(n, a, i):
-    """Structure sheaf of {x_0 = ... = x_{a-1} = 0} at the line point i."""
-    if i < a:
-        return LaurentPoly.zero(n)
-    out = LaurentPoly.one(n)
-    for l in range(a):
-        out = out * LaurentPoly.one_minus(_vsub(_unit(n, l), _unit(n, i)))
-    return out
+def _line_factors(n, a, i):
+    """Exponents of the binomials whose product is the structure sheaf of
+    {x_0 = ... = x_{a-1} = 0} at the line point i >= a."""
+    return [_vsub(_unit(n, l), _unit(n, i)) for l in range(a)]
 
 
-def _coordinate_class_hyperplane(n, b, missing):
-    """Structure sheaf of {H containing e_0, ..., e_{b-1}} at hyperplane
-    with the given missing index (the dual torus acts with t_m t_l^{-1})."""
-    if missing < b:
-        return LaurentPoly.zero(n)
-    out = LaurentPoly.one(n)
-    for l in range(b):
-        out = out * LaurentPoly.one_minus(_vsub(_unit(n, missing),
-                                                _unit(n, l)))
-    return out
+def _hyperplane_factors(n, b, missing):
+    """Exponents of the binomials whose product is the structure sheaf of
+    {H containing e_0, ..., e_{b-1}} at the hyperplane with the given
+    missing index >= b (the dual torus acts with t_m t_l^{-1})."""
+    return [_vsub(_unit(n, missing), _unit(n, l)) for l in range(b)]
 
 
 def to_nonequivariant(cls):
     """Solve against the coordinate-subspace basis and evaluate at t = 1.
 
     Ascending triangular back-substitution in (line index, missing index);
-    every division must be exact, otherwise the class is not the
-    localization of a genuine equivariant sheaf class (InexactDivision).
+    each diagonal class is a product of binomials and is divided off one
+    factor at a time.  Every division must be exact, otherwise the class is
+    not the localization of a genuine equivariant sheaf class
+    (InexactDivision).
     """
     if not isinstance(cls.space, ProjProductSpace):
         raise SpaceMismatch("reduction is defined on the product space")
     n = cls.space.n
     coeffs = {}
     for i in range(n):
-        e_i = _coordinate_class_line(n, i, i)
         for m in range(n):
             hyperplane = tuple(x for x in range(n) if x != m)
             rhs = cls.value(((i,), hyperplane))
             for (a, b), cab in sorted(coeffs.items()):
                 if a <= i and b <= m:
-                    rhs = rhs - (cab * _coordinate_class_line(n, a, i)
-                                 * _coordinate_class_hyperplane(n, b, m))
-            quot = rhs.exact_divide(
-                e_i * _coordinate_class_hyperplane(n, m, m))
-            if not quot.is_zero():
-                coeffs[(i, m)] = quot
+                    rhs = rhs - cab * _poly_product(
+                        n, _line_factors(n, a, i)
+                        + _hyperplane_factors(n, b, m))
+            for chi in _line_factors(n, i, i) + _hyperplane_factors(n, m, m):
+                rhs = rhs.exact_divide(LaurentPoly.one_minus(chi))
+            if not rhs.is_zero():
+                coeffs[(i, m)] = rhs
     return LaurentPoly(2, {(b, a): c.subs_one()
                            for (a, b), c in coeffs.items()})
 

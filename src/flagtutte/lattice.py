@@ -10,6 +10,15 @@ two by an interval; the same walk lists the points or only counts them.
 Polytopes given only by vertices (test counterexamples, slices) fall back
 to exact convex-hull membership.
 
+The cone of a generalized permutohedron at a vertex is spanned by its edges
+there, each parallel to some e_i - e_j.  Edges come from one tight-set
+adjacency per polytope, and the edge directions are certified as the
+cone's rays without linear programming: each must be e_i - e_j, and the
+arcs i -> j must have no cycle (the cone is pointed) and no shortcut (each
+ray is extreme).  The exact simplex of :mod:`flagtutte.linalg` finds the
+rays of every other cone, including those of vertex-only polytopes, and is
+the oracle the edge rays are tested against.
+
 Cones are triangulated by a pulling triangulation over their extreme rays;
 pieces are made half-open towards a deterministic generic interior vector,
 and fundamental parallelepipeds are enumerated through an integer
@@ -42,12 +51,29 @@ class LatticePolytope:
     the polytope is {x : x(S) <= z[S] for all S, x(E) = z[full]}.
     """
 
-    __slots__ = ("n", "vertices", "z")
+    __slots__ = ("n", "vertices", "z", "_neighbours")
 
     def __init__(self, n, vertices, z=None):
         self.n = n
         self.vertices = tuple(sorted(tuple(v) for v in set(map(tuple, vertices))))
         self.z = tuple(z) if z is not None else None
+        self._neighbours = None
+
+    def neighbours(self):
+        """For each vertex, the indices of the vertices it shares an edge
+        with; the tight-set test runs once per polytope."""
+        if self._neighbours is None:
+            verts = self.vertices
+            if self.z is None:
+                if len(verts) > 2:
+                    raise OutOfRange(
+                        "edge enumeration needs a submodular description")
+                self._neighbours = (((1,), (0,)) if len(verts) == 2
+                                   else ((),) * len(verts))
+            else:
+                self._neighbours = _tight_set_neighbours(self.n, self.z,
+                                                         verts)
+        return self._neighbours
 
     @property
     def dim(self):
@@ -220,34 +246,37 @@ def lattice_points(p):
 # ----------------------------------------------------------------- faces
 
 def _tight_masks(n, z, v):
+    """The sets tight at v, as a bitset with bit m for subset mask m."""
     sums = _subset_sums(v)
-    return frozenset(m for m in range(1 << n) if sums[m] == z[m])
+    return sum(1 << m for m in range(1 << n) if sums[m] == z[m])
+
+
+def _tight_set_neighbours(n, z, verts):
+    """Edge adjacency of a generalized permutohedron from its tight sets.
+
+    The minimal face containing two vertices is cut out by their common
+    tight constraints; it is an edge exactly when no third vertex is tight
+    on all of them.
+    """
+    tight = [_tight_masks(n, z, v) for v in verts]
+    out = [[] for _ in verts]
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            common = tight[i] & tight[j]
+            if not any(common & t == common for k, t in enumerate(tight)
+                       if k != i and k != j):
+                out[i].append(j)
+                out[j].append(i)
+    return tuple(map(tuple, out))
 
 
 def edges(p):
     """Vertex pairs forming 1-faces, as index pairs into p.vertices.
 
-    Uses the tight-set test: the minimal face containing two vertices is
-    cut out by their common tight constraints; it is an edge exactly when
-    no third vertex is tight on all of them.
+    Uses the tight-set test of :meth:`LatticePolytope.neighbours`.
     """
-    verts = p.vertices
-    if p.z is None:
-        if len(verts) == 2:
-            return [(0, 1)]
-        if len(verts) <= 1:
-            return []
-        raise OutOfRange("edge enumeration needs a submodular description")
-    tight = [_tight_masks(p.n, p.z, v) for v in verts]
-    out = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            common = tight[i] & tight[j]
-            members = [k for k, t in enumerate(tight)
-                       if common <= t]
-            if members == [i, j]:
-                out.append((i, j))
-    return out
+    return [(i, j) for i, adjacent in enumerate(p.neighbours())
+            for j in adjacent if i < j]
 
 
 def edge_direction_check(p, ranks=None):
@@ -304,7 +333,14 @@ class RationalCone:
         return linalg.lp_nonneg_solve(cols, [0] * self.n + [1]) is None
 
     def rays(self):
-        """Extreme rays (primitive), lex sorted."""
+        """Extreme rays (primitive), lex sorted.
+
+        A vertex cone of a polytope with a submodular description arrives
+        with its rays already certified (:func:`edge_cone`).  Any other
+        cone is checked for pointedness and pruned of redundant generators
+        by the exact simplex of :mod:`flagtutte.linalg`; that general path
+        is also the oracle the edge rays are tested against.
+        """
         if self._rays is None:
             if not self.is_pointed():
                 raise NotPointed("cone contains a line")
@@ -332,11 +368,69 @@ class RationalCone:
 
 
 def cone_at_vertex(p, v):
-    """Cone spanned by u - v over all vertices u of the polytope."""
+    """Cone spanned by u - v over all vertices u of the polytope.
+
+    With a submodular description the cone is spanned by the edges at v
+    (:meth:`LatticePolytope.neighbours`), whose directions are certified
+    as its rays by :func:`edge_cone` without linear programming.  A
+    polytope given only by vertices gets the cone over all u - v.
+    """
     v = tuple(v)
     if v not in p.vertices:
         raise NotAVertex(f"{v} is not a vertex")
-    return RationalCone([_vsub(u, v) for u in p.vertices if u != v], n=p.n)
+    if p.z is None:
+        return RationalCone([_vsub(u, v) for u in p.vertices if u != v],
+                            n=p.n)
+    adjacent = p.neighbours()[p.vertices.index(v)]
+    return edge_cone([_vsub(p.vertices[j], v) for j in adjacent], p.n)
+
+
+def edge_cone(directions, n):
+    """Pointed cone over edge directions of a generalized permutohedron.
+
+    Each primitive direction must be some e_i - e_j, read as the arc
+    i -> j; anything else raises CheckFailed.  The cone is pointed exactly
+    when the arcs have no directed cycle (a cycle sums to zero, so the cone
+    holds a line: NotPointed), and an arc i -> j is an extreme ray exactly
+    when no other path leads from i to j (CheckFailed otherwise).  The
+    certified directions are stored as the cone's rays.
+    """
+    cone = RationalCone(directions, n=n)
+    succ, arc_ray = {}, {}
+    for r in cone.generators:
+        if sorted(r) != [-1] + [0] * (n - 2) + [1]:
+            raise CheckFailed("vertex cone",
+                              "edge direction is not e_i - e_j", r)
+        i, j = r.index(1), r.index(-1)
+        succ.setdefault(i, set()).add(j)
+        arc_ray[i, j] = r
+    # Kahn's algorithm: a topological order exists iff there is no cycle
+    nodes = set(succ).union(*succ.values())
+    indegree = dict.fromkeys(nodes, 0)
+    for targets in succ.values():
+        for j in targets:
+            indegree[j] += 1
+    order = [i for i in sorted(nodes) if not indegree[i]]
+    for i in order:
+        for j in sorted(succ.get(i, ())):
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < len(nodes):
+        raise NotPointed("edge directions form a directed cycle, "
+                         "so the cone contains a line")
+    # reach[i]: the nodes that one or more arcs lead to from i
+    reach = {}
+    for i in reversed(order):
+        targets = succ.get(i, set())
+        beyond = set().union(*(reach[j] for j in targets))
+        if targets & beyond:
+            raise CheckFailed("vertex cone",
+                              "edge direction is not an extreme ray",
+                              arc_ray[i, min(targets & beyond)])
+        reach[i] = targets | beyond
+    cone._rays = cone.generators
+    return cone
 
 
 class HalfOpenSimplicialCone:

@@ -5,7 +5,8 @@ a :class:`LaurentPoly` maps exponent vectors to nonzero integer
 coefficients.  A :class:`KRational` keeps its denominator as a multiset of
 exponent vectors, each standing for a binomial factor (1 - t^a) — the only
 denominators the localization formulas ever produce — so cancellation can
-happen factor by factor and stay exact.
+happen factor by factor and stay exact; dividing by one binomial is a
+running sum along the lines of its direction.
 """
 
 from fractions import Fraction
@@ -20,6 +21,15 @@ def _vadd(a, b):
 
 def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _along(e, support, k):
+    """e + k*a for the vector a whose nonzero entries are (i, a_i) in
+    `support`."""
+    out = list(e)
+    for i, x in support:
+        out[i] += k * x
+    return tuple(out)
 
 
 class LaurentPoly:
@@ -141,12 +151,60 @@ class LaurentPoly:
     def exact_divide(self, q):
         """The quotient self / q in the Laurent ring, if it is exact.
 
-        Leading-term elimination under lex order; raises InexactDivision
-        if no integer Laurent polynomial quotient exists.
+        A binomial divisor c*t^b*(1 - t^a), the only kind the localization
+        pipeline divides by, takes running sums along the lines of
+        direction a (:meth:`_line_sum_divide`), in time linear in the size
+        of the quotient.  Any other divisor goes through leading-term
+        elimination under lex order (:meth:`_lex_divide`), which is also
+        the oracle the line sums are tested against.  Raises
+        InexactDivision if no integer Laurent polynomial quotient exists.
         """
         self._check(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        if len(q.terms) == 2:
+            (b, c), (e, d) = q.terms.items()
+            if d == -c:
+                return self._line_sum_divide(_vsub(e, b), c, b)
+        return self._lex_divide(q)
+
+    def _line_sum_divide(self, a, c, b):
+        """self / (c * t^b * (1 - t^a)) by running sums along lines.
+
+        On each line r + Z*a the quotient Q of self by (1 - t^a) satisfies
+        Q(r + k*a) - Q(r + (k-1)*a) = self(r + k*a), so Q is the running
+        sum of self's coefficients from the line's low end.  The division
+        is exact iff every line sums to zero and c divides every partial
+        sum; the first line that fails raises InexactDivision.
+        """
+        support = [(i, x) for i, x in enumerate(a) if x]
+        pivot, step = support[0]
+        lines = {}
+        for e, coeff in self.terms.items():
+            k = e[pivot] // step
+            base = _along(e, support, -k) if k else e
+            lines.setdefault(base, []).append((k, coeff))
+        quot = {}
+        for base, line in lines.items():
+            line.sort()
+            origin = _vsub(base, b) if any(b) else base
+            run = 0
+            for (k, coeff), (k_next, _) in zip(line, line[1:]):
+                run += coeff
+                value, rest = divmod(run, c)
+                if rest:
+                    raise InexactDivision(
+                        f"{c} does not divide the running sum {run}")
+                if value:
+                    for j in range(k, k_next):
+                        quot[_along(origin, support, j)] = value
+            if run + line[-1][1]:
+                raise InexactDivision(
+                    f"the line {base} + Z*{a} does not sum to zero")
+        return LaurentPoly(self.nvars, quot)
+
+    def _lex_divide(self, q):
+        """self / q by leading-term elimination under lex order."""
         if self.is_zero():
             return LaurentPoly.zero(self.nvars)
         lead_q = max(q.terms)

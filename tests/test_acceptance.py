@@ -109,7 +109,7 @@ def test_criterion_3_uniform_flag_on_five():
     started = time.perf_counter()
     assert k_tutte(u23_on_5()) == U23_5_TUTTE
     assert time.perf_counter() - started < 300.0
-    report(3, started, "14-term polynomial exact")
+    report(3, started, "13-term polynomial exact")
 
 
 def test_criterion_4_specialization():

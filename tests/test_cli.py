@@ -223,6 +223,24 @@ class TestBadInput:
         assert code == 1
         assert report["ok"] is False and report["error"] == error
 
+    @pytest.mark.parametrize("verb, doc, detail", [
+        ("quotient", {"type": "matroid_pair", "N": "u24", "M": {}},
+         "matroid_pair field 'N' must be an object"),
+        ("quotient", {"type": "matroid_pair", "M": [1], "N": {
+            "type": "matroid", "n": 1, "bases": [[0]]}},
+         "matroid_pair field 'M' must be an object"),
+        ("union", {"type": "matroid_list", "matroids": ["u24"]},
+         "matroid_list field 'matroids' must be a list of objects"),
+    ])
+    def test_nested_member_is_named(self, capsys, tmp_path, verb, doc,
+                                    detail):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, verb, path)
+        assert code == 1
+        assert report["error"] == "SchemaError"
+        assert report["detail"] == detail
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, capsys):

@@ -1,15 +1,18 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagtutte import linalg
-from flagtutte.errors import (FlagTutteError, NegativeShift, NoDecomposition,
-                              NotAVertex, NotPointed)
+from flagtutte.errors import (CheckFailed, FlagTutteError, NegativeShift,
+                              NoDecomposition, NotAVertex, NotPointed)
+from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
                                RationalCone, base_polytope, cone_at_vertex,
                                count_shifted, decompose_lattice_point,
+                               edge_cone,
                                edge_direction_check, edges, flag_polytope,
                                hilbert_numerator, hilbert_series, is_normal,
                                lattice_points, minkowski_sum,
@@ -150,6 +153,67 @@ class TestCones:
     def test_hilbert_series_of_a_line_raises(self):
         with pytest.raises(NotPointed):
             hilbert_series(RationalCone([(1, 0), (-1, 0), (0, 1)]))
+
+
+def lp_cone_at_vertex(p, v):
+    """Oracle: the cone over all u - v, its rays found by the simplex."""
+    return RationalCone([tuple(a - b for a, b in zip(u, v))
+                         for u in p.vertices if u != v], n=p.n)
+
+
+def assert_edge_rays_match_lp(p):
+    for v in p.vertices:
+        assert cone_at_vertex(p, v).rays() == lp_cone_at_vertex(p, v).rays()
+
+
+class TestEdgeCones:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=1, max_size=3)))
+    def test_edge_rays_match_lp_on_random_matroids(self, rows):
+        assert_edge_rays_match_lp(base_polytope(matroid_from_matrix(rows)))
+
+    @pytest.mark.parametrize("name", ["flag_rank12", "flag_u23_5"])
+    def test_edge_rays_match_lp_on_flag_polytopes(self, name):
+        path = Path(__file__).resolve().parent.parent / "fixtures"
+        flag = as_flag_matroid(load_object(path / f"{name}.json"))
+        assert_edge_rays_match_lp(flag_polytope(flag))
+
+    def test_rays_need_no_lp(self, monkeypatch):
+        p = flag_polytope(four_flag_matroid())
+
+        def no_lp(*args):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(linalg, "lp_nonneg_solve", no_lp)
+        assert cone_at_vertex(p, (1, 2, 0)).rays() == \
+            ((0, -1, 1), (1, -1, 0))
+
+    def test_two_cycle_is_not_pointed(self):
+        with pytest.raises(NotPointed):
+            edge_cone([(1, -1, 0), (-1, 1, 0)], 3)
+
+    def test_longer_cycle_is_not_pointed(self):
+        with pytest.raises(NotPointed):
+            edge_cone([(1, -1, 0), (0, 1, -1), (-1, 0, 1)], 3)
+
+    def test_direction_off_the_root_system_fails(self):
+        with pytest.raises(CheckFailed) as info:
+            edge_cone([(1, -1, 0), (1, 1, -2)], 3)
+        assert info.value.stage == "vertex cone"
+        assert info.value.witness == (1, 1, -2)
+
+    def test_redundant_direction_fails(self):
+        # e_0 - e_2 = (e_0 - e_1) + (e_1 - e_2) is not an extreme ray
+        with pytest.raises(CheckFailed) as info:
+            edge_cone([(1, -1, 0), (0, 1, -1), (1, 0, -1)], 3)
+        assert info.value.stage == "vertex cone"
+        assert info.value.witness == (1, 0, -1)
+
+    def test_directions_are_made_primitive(self):
+        cone = edge_cone([(0, 2, -2), (1, 0, -1)], 3)
+        assert cone.rays() == ((0, 1, -1), (1, 0, -1))
 
 
 class TestTriangulate:

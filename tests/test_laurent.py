@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagtutte.errors import (BadWeights, DimensionMismatch, InexactDivision,
                               PoleAtOne)
@@ -85,6 +86,69 @@ class TestExactDivide:
         quot = sq.exact_divide(LaurentPoly.one_minus((-1, 0, 1)))
         assert quot * LaurentPoly.one_minus((-1, 0, 1)) == sq
         assert quot == LaurentPoly(3, {(2, 1, 0): 1, (1, 1, 1): -1})
+
+
+def laurent_polys(nvars, span=3, max_terms=6):
+    exps = st.tuples(*[st.integers(-span, span)] * nvars)
+    return st.dictionaries(exps, st.integers(-4, 4), max_size=max_terms).map(
+        lambda terms: LaurentPoly(nvars, terms))
+
+
+def divide_both_ways(num, den):
+    """(quotient or None) from the binomial path and from lex elimination."""
+    out = []
+    for divide in (num.exact_divide, num._lex_divide):
+        try:
+            out.append(divide(den))
+        except InexactDivision:
+            out.append(None)
+    return out
+
+
+binomial_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    laurent_polys(n),
+    st.tuples(*[st.integers(-2, 2)] * n).filter(any),
+    st.sampled_from([1, -1, 2]),
+    st.tuples(*[st.integers(-1, 1)] * n)))
+
+
+class TestBinomialDivide:
+    @settings(max_examples=150, deadline=None)
+    @given(binomial_cases)
+    def test_exact_multiple_agrees_with_lex(self, case):
+        p, a, c, b = case
+        den = LaurentPoly.one_minus(a).shift(b) * c
+        fast, lex = divide_both_ways(p * den, den)
+        assert fast == lex == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(binomial_cases, st.data())
+    def test_perturbed_multiple_agrees_with_lex(self, case, data):
+        # a bare monomial breaks a line sum; a monomial times (1 - t^a)
+        # keeps the line sums at zero and is divisible unless c is not
+        # a unit
+        p, a, c, b = case
+        n = len(a)
+        extra = LaurentPoly.monomial(
+            data.draw(st.tuples(*[st.integers(-4, 4)] * n)),
+            data.draw(st.integers(-3, 3).filter(bool)))
+        if data.draw(st.booleans()):
+            extra = extra * LaurentPoly.one_minus(a)
+        den = LaurentPoly.one_minus(a).shift(b) * c
+        fast, lex = divide_both_ways(p * den + extra, den)
+        assert fast == lex
+
+    def test_running_sum_fills_gaps(self):
+        # (1 - t^3) / (1 - t) = 1 + t + t^2: one line, quotient wider
+        # than the dividend
+        num = LaurentPoly(1, {(0,): 1, (3,): -1})
+        assert num.exact_divide(LaurentPoly.one_minus((1,))) == \
+            LaurentPoly(1, {(0,): 1, (1,): 1, (2,): 1})
+
+    def test_line_not_summing_to_zero(self):
+        num = LaurentPoly(2, {(0, 0): 1, (1, -1): -1, (0, 1): 1})
+        with pytest.raises(InexactDivision):
+            num.exact_divide(LaurentPoly.one_minus((1, -1)))
 
 
 class TestKRational:

@@ -17,9 +17,10 @@ invariant; every division along the way must be exact.
 
 import itertools
 
-from .errors import (InexactDivision, OutOfRange, ParseError, SpaceMismatch,
-                     Verdict)
-from .laurent import KRational, LaurentPoly, _poly_product, _vsub
+from .errors import (CheckFailed, InexactDivision, OutOfRange, ParseError,
+                     SpaceMismatch, Verdict)
+from .laurent import (LaurentPoly, _poly_product, _vsub,
+                      binomial_fraction_sum)
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
 
 
@@ -292,11 +293,27 @@ def pullback(cls, target_space):
 
 
 def _pushforward_value(space, cls, target_space, point):
+    """The pushforward at one point ((a,), H) of the target, H missing m.
+
+    The fiber terms val / prod (1 - chi) over each source chart are summed
+    and multiplied by the target chart.  The target chart holds (a, m)
+    twice, and every source chart contains the rest of it (CheckFailed at
+    stage "pushforward", with the missing factor as witness, otherwise),
+    so that part cancels from each term before the sum, and only the
+    factor 1 - t^(e_m - e_a) multiplies it.  What is left of a chart pairs
+    elements of H - {a}; each factor is turned to one orientation of its
+    pair, so the terms share a small common denominator
+    (:func:`flagtutte.laurent.binomial_fraction_sum`).
+    """
     n = space.n
     (a,), hyperplane = point
     if a not in set(hyperplane):
         return LaurentPoly.zero(n)  # empty fiber
-    total = KRational(LaurentPoly.zero(n))
+    shared = [_vsub(_unit(n, j), _unit(n, i))
+              for i, j in target_space.chart_pairs(point)]
+    extra = _vsub(_unit(n, target_space.missing(hyperplane)), _unit(n, a))
+    shared.remove(extra)
+    terms = []
     for chain in space.fixed_points():
         if chain[0] != (a,) or chain[-1] != hyperplane:
             continue
@@ -305,22 +322,27 @@ def _pushforward_value(space, cls, target_space, point):
             continue
         den = [_vsub(_unit(n, j), _unit(n, i))
                for i, j in space.chart_pairs(chain)]
-        total = total + KRational(val, den)
-    if total.is_zero():
-        return LaurentPoly.zero(n)
-    for i, j in target_space.chart_pairs(point):
-        total = total * LaurentPoly.one_minus(
-            _vsub(_unit(n, j), _unit(n, i)))
-    return total.as_laurent()
+        for chi in shared:
+            if chi not in den:
+                raise CheckFailed("pushforward", "a fiber chart lacks a "
+                                  "factor of the target chart", chi)
+            den.remove(chi)
+        for k, chi in enumerate(den):
+            flipped = tuple(-x for x in chi)
+            if flipped > chi:  # 1/(1 - t^chi) = -t^-chi / (1 - t^-chi)
+                val, den[k] = -val.shift(flipped), flipped
+        terms.append((val, den))
+    return binomial_fraction_sum(n, terms, [extra])
 
 
 def pushforward_to_pp(cls):
     """Pushforward along (first, last) to the line-hyperplane product.
 
     The source must be a flag space whose distinct ranks start at 1 and end
-    at n-1.  Fibers over incident pairs are summed over the chart
-    denominators, scaled by the target chart factor; the result must be a
-    Laurent polynomial and satisfy GKM, both asserted.
+    at n-1.  Fibers over incident pairs are summed over what is left of
+    the chart denominators once the target chart cancels
+    (:func:`_pushforward_value`); the result must be a Laurent polynomial
+    and satisfy GKM, both asserted.
     """
     space = cls.space
     n = space.n

@@ -19,14 +19,24 @@ ray is extreme).  The exact simplex of :mod:`flagtutte.linalg` finds the
 rays of every other cone, including those of vertex-only polytopes, and is
 the oracle the edge rays are tested against.
 
-Cones are triangulated by a pulling triangulation over their extreme rays;
-pieces are made half-open towards a deterministic generic interior vector,
-and fundamental parallelepipeds are enumerated through an integer
-diagonalization of the generator matrix, so the Hilbert series
+Cones are triangulated by a pulling triangulation over their extreme rays,
+and every piece is made half-open towards w = r_0 + eps*r_1 + eps^2*r_2 +
+... over the sorted rays, so a facet is open exactly when the first ray its
+normal does not vanish on lies on the negative side.  The pieces partition
+the cone and
 
-    Hilb(C) = sum over pieces of (sum_{b in FPP} t^b) / prod (1 - t^u)
+    Hilb(C) = sum over pieces of (sum_{b in FPP} t^b) / prod (1 - t^u).
 
-is exact.
+When every ray is an arc e_i - e_j, as on every vertex cone of a
+generalized permutohedron, all of this is integer and combinatorial: a
+facet splits one connected component of the arcs into two connected sides
+with every crossing arc pointing the same way, the pieces are spanning
+forests, and a forest is unimodular, so its fundamental parallelepiped
+holds the single point that sums its open generators.  Any other cone is
+triangulated with exact rational nullspaces and its parallelepiped points
+are enumerated through an integer diagonalization of the generator
+matrix; that general path is also the oracle the arc path is tested
+against.
 """
 
 import itertools
@@ -36,7 +46,8 @@ from math import ceil, floor
 from .errors import (CheckFailed, NegativeShift, NoDecomposition, NotAVertex,
                      NotPointed, OutOfRange, Verdict)
 from . import linalg
-from .laurent import KRational, LaurentPoly, _vadd, _vsub
+from .laurent import (KRational, LaurentPoly, _poly_product, _vadd, _vsub,
+                      binomial_fraction_sum)
 from .polyflag import _greedy_vertex, polymatroid_of_flag
 
 
@@ -385,6 +396,13 @@ def cone_at_vertex(p, v):
     return edge_cone([_vsub(p.vertices[j], v) for j in adjacent], p.n)
 
 
+def _arc(r):
+    """The arc (i, j) when r = e_i - e_j, else None."""
+    if sorted(r) != [-1] + [0] * (len(r) - 2) + [1]:
+        return None
+    return r.index(1), r.index(-1)
+
+
 def edge_cone(directions, n):
     """Pointed cone over edge directions of a generalized permutohedron.
 
@@ -398,10 +416,11 @@ def edge_cone(directions, n):
     cone = RationalCone(directions, n=n)
     succ, arc_ray = {}, {}
     for r in cone.generators:
-        if sorted(r) != [-1] + [0] * (n - 2) + [1]:
+        arc = _arc(r)
+        if arc is None:
             raise CheckFailed("vertex cone",
                               "edge direction is not e_i - e_j", r)
-        i, j = r.index(1), r.index(-1)
+        i, j = arc
         succ.setdefault(i, set()).add(j)
         arc_ray[i, j] = r
     # Kahn's algorithm: a topological order exists iff there is no cycle
@@ -446,46 +465,62 @@ class HalfOpenSimplicialCone:
     def parallelepiped_points(self):
         """Lattice points of the half-open fundamental parallelepiped.
 
-        Enumerated through residue classes of the generator lattice inside
-        its saturation; the count equals the index (the diagonal product).
+        Arcs e_i - e_j are certified to form a forest (else CheckFailed):
+        a forest's incidence matrix is totally unimodular, so its one point
+        is the sum of its open generators.  Other generators go through
+        the integer diagonalization of :func:`_diagonalized_points`.
         """
-        d = len(self.generators)
-        if d == 0:
+        if not self.generators:
             return [()]
-        n = self.n
-        rows = [[g[i] for g in self.generators] for i in range(n)]  # n x d
-        pinv, diag = linalg.integer_diagonalize(rows)
-        if len(diag) != d:
+        arcs = [_arc(g) for g in self.generators]
+        if None in arcs:
+            return _diagonalized_points(self)
+        if not _is_forest(arcs):
             raise CheckFailed("parallelepiped points",
-                              "generators are linearly dependent",
-                              self.generators)
-        points = []
-        for residue in itertools.product(*[range(di) for di in diag]):
-            x0 = [sum(pinv[i][j] * residue[j] for j in range(d))
-                  for i in range(n)]
-            lam = linalg.solve_exact(rows, x0)
-            shifted = []
-            for lj, open_j in zip(lam, self.open_flags):
-                if open_j:
-                    shifted.append(lj - ceil(lj) + 1)   # into (0, 1]
-                else:
-                    shifted.append(lj - floor(lj))      # into [0, 1)
-            pt = tuple(
-                sum(sj * self.generators[j][i] for j, sj in enumerate(shifted))
-                for i in range(n))
-            if any(Fraction(x).denominator != 1 for x in pt):
-                raise CheckFailed("parallelepiped points",
-                                  "point is not integral", pt)
-            points.append(tuple(int(x) for x in pt))
-        if len(set(points)) != len(points):
-            raise CheckFailed("parallelepiped points",
-                              "a residue class repeats", self.generators)
-        return sorted(points)
+                              "arcs are not a forest", self.generators)
+        point = (0,) * self.n
+        for g, is_open in zip(self.generators, self.open_flags):
+            if is_open:
+                point = _vadd(point, g)
+        return [point]
 
     def __repr__(self):
         marks = ["(" if o else "[" for o in self.open_flags]
         gens = ", ".join(f"{m}{g}" for m, g in zip(marks, self.generators))
         return f"HalfOpenSimplicialCone({gens})"
+
+
+def _diagonalized_points(piece):
+    """Parallelepiped points of any simplicial piece, through residue
+    classes of the generator lattice inside its saturation; the count
+    equals the index (the diagonal product)."""
+    gens, d, n = piece.generators, len(piece.generators), piece.n
+    rows = [[g[i] for g in gens] for i in range(n)]  # n x d
+    pinv, diag = linalg.integer_diagonalize(rows)
+    if len(diag) != d:
+        raise CheckFailed("parallelepiped points",
+                          "generators are linearly dependent", gens)
+    points = []
+    for residue in itertools.product(*[range(di) for di in diag]):
+        x0 = [sum(pinv[i][j] * residue[j] for j in range(d))
+              for i in range(n)]
+        lam = linalg.solve_exact(rows, x0)
+        shifted = []
+        for lj, open_j in zip(lam, piece.open_flags):
+            if open_j:
+                shifted.append(lj - ceil(lj) + 1)   # into (0, 1]
+            else:
+                shifted.append(lj - floor(lj))      # into [0, 1)
+        pt = tuple(sum(sj * gens[j][i] for j, sj in enumerate(shifted))
+                   for i in range(n))
+        if any(Fraction(x).denominator != 1 for x in pt):
+            raise CheckFailed("parallelepiped points",
+                              "point is not integral", pt)
+        points.append(tuple(int(x) for x in pt))
+    if len(set(points)) != len(points):
+        raise CheckFailed("parallelepiped points",
+                          "a residue class repeats", gens)
+    return sorted(points)
 
 
 def _span_coordinates(rays):
@@ -571,39 +606,137 @@ def _pulling_triangulation(rays, indices):
     return out
 
 
+def _is_forest(arcs):
+    """Whether the arcs, directions ignored, have no cycle: each joins two
+    components of the arcs before it (node bitmasks)."""
+    comps = []
+    for i, j in arcs:
+        ci = next((c for c in comps if c >> i & 1), 1 << i)
+        cj = next((c for c in comps if c >> j & 1), 1 << j)
+        if ci == cj:
+            return False
+        comps = [c for c in comps if c != ci and c != cj] + [ci | cj]
+    return True
+
+
+def _grow(reached, arcs):
+    """Close the node bitmask `reached` under the arcs, directions
+    ignored."""
+    grown = True
+    while grown:
+        grown = False
+        for i, j in arcs:
+            if (reached >> i & 1) != (reached >> j & 1):
+                reached |= 1 << i | 1 << j
+                grown = True
+    return reached
+
+
+def _connected(mask, arcs):
+    """Whether the arcs with both ends in `mask` connect all of it."""
+    inside = [(i, j) for i, j in arcs if mask >> i & 1 and mask >> j & 1]
+    return _grow(mask & -mask, inside) == mask
+
+
+def _arc_pulling_triangulation(arcs, indices):
+    """Index tuples of a triangulation of the cone over the arcs (i, j),
+    pulling at the first.
+
+    A facet splits the component K of the pivot arc i -> j into sides U
+    containing i and W containing j; both sides must be connected by the
+    arcs inside them and every crossing arc must go from U to W.  Its rays
+    are the arcs that do not cross, so faces are again arc cones and the
+    recursion stops at the forests, which are simplicial.
+    """
+    if _is_forest(arcs):
+        return [tuple(indices)]
+    (i, j), out = arcs[0], []
+    comp = _grow(1 << i, arcs)
+    free = [k for k in range(comp.bit_length())
+            if comp >> k & 1 and k != i and k != j]
+    for choice in range(1 << len(free)):
+        u = 1 << i
+        for b, k in enumerate(free):
+            if choice >> b & 1:
+                u |= 1 << k
+        w = comp & ~u
+        if any(w >> a & 1 and u >> b & 1 for a, b in arcs):
+            continue
+        keep = [k for k, (a, b) in enumerate(arcs)
+                if not (u >> a & 1 and w >> b & 1)]
+        face = [arcs[k] for k in keep]
+        if _connected(u, face) and _connected(w, face):
+            for piece in _arc_pulling_triangulation(
+                    face, [indices[k] for k in keep]):
+                out.append((indices[0],) + piece)
+    if not out:
+        raise CheckFailed("pulling triangulation", "no pieces", arcs)
+    return out
+
+
+def _open_by_first_sign(values):
+    """Whether the first nonzero value is negative.
+
+    With values h.r_k over the sorted rays this is the sign of h.w for
+    w = r_0 + eps*r_1 + eps^2*r_2 + ... and small eps > 0, a generic
+    interior vector found without a search.
+    """
+    for v in values:
+        if v:
+            return v < 0
+    raise CheckFailed("half-open decomposition",
+                      "a facet normal vanishes on every ray", values)
+
+
+def _arc_pieces(rays, arcs):
+    """Half-open spanning forests of the cone over the arcs.
+
+    The normal of the facet opposite arc i -> j of a forest is the
+    indicator of i's side once that arc is removed.
+    """
+    out = []
+    for piece in _arc_pulling_triangulation(arcs, range(len(arcs))):
+        forest = [arcs[k] for k in piece]
+        flags = []
+        for k, (i, _) in enumerate(forest):
+            side = _grow(1 << i, forest[:k] + forest[k + 1:])
+            flags.append(_open_by_first_sign(
+                [(side >> a & 1) - (side >> b & 1) for a, b in arcs]))
+        out.append(HalfOpenSimplicialCone([rays[k] for k in piece], flags))
+    return out
+
+
+def _fraction_pieces(rays):
+    """Half-open pieces of the cone over any rays, through exact rational
+    nullspaces; the oracle of :func:`_arc_pieces`."""
+    coords = _span_coordinates(rays)
+    out = []
+    for piece in _pulling_triangulation(rays, range(len(rays))):
+        normals = _facet_normals_piece([coords[i] for i in piece])
+        flags = [_open_by_first_sign([_dot(h, c) for c in coords])
+                 for h in normals]
+        out.append(HalfOpenSimplicialCone([rays[i] for i in piece], flags))
+    return out
+
+
 def triangulate(cone):
     """Disjoint half-open simplicial decomposition of a pointed cone.
 
     Pieces are cones over subsets of the extreme rays from a pulling
-    triangulation; facets are opened by visibility from a deterministic
-    generic interior vector (weights 1, x, x^2, ... over the sorted rays,
-    x shrunk until no orthogonality remains), so the pieces partition the
-    cone exactly.
+    triangulation.  A piece's facet is open when its inward normal is
+    negative on w = r_0 + eps*r_1 + ... over the sorted rays, which is
+    the sign of the first ray the normal does not vanish on, so the
+    pieces partition the cone exactly.  When every ray is an arc
+    e_i - e_j the triangulation is combinatorial (:func:`_arc_pieces`);
+    any other cone goes through :func:`_fraction_pieces`.
     """
     rays = cone.rays()
     if not rays:
         return [HalfOpenSimplicialCone((), ())]
-    coords = _span_coordinates(rays)
-    pieces_idx = _pulling_triangulation(rays, range(len(rays)))
-    piece_normals = []
-    for piece in pieces_idx:
-        piece_normals.append(_facet_normals_piece([coords[i] for i in piece]))
-
-    for denom in itertools.count(2):
-        x = Fraction(1, denom)
-        w = [Fraction(0)] * len(coords[0])
-        scale = Fraction(1)
-        for c in coords:
-            w = [wi + scale * ci for wi, ci in zip(w, c)]
-            scale *= x
-        if all(_dot(h, w) != 0
-               for normals in piece_normals for h in normals):
-            break
-    out = []
-    for piece, normals in zip(pieces_idx, piece_normals):
-        flags = tuple(_dot(h, w) < 0 for h in normals)
-        out.append(HalfOpenSimplicialCone([rays[i] for i in piece], flags))
-    return out
+    arcs = [_arc(r) for r in rays]
+    if None in arcs:
+        return _fraction_pieces(rays)
+    return _arc_pieces(rays, arcs)
 
 
 def hilbert_series(cone):
@@ -626,14 +759,26 @@ def hilbert_series(cone):
 def hilbert_numerator(cone, denom):
     """The Laurent polynomial Hilb(C) * prod_{a in denom} (1 - t^a).
 
-    Exactness is checked: a leftover denominator factor raises
-    InexactDivision and signals an upstream bug.
+    A piece with generators G and parallelepiped points b contributes
+    sum_b t^b * prod (1 - t^a) over denom - G, divided by the generators
+    left over, G - denom: generators that are denominator factors cancel
+    before any product is formed.  The leftovers are divided off the sum
+    by :func:`flagtutte.laurent.binomial_fraction_sum`, which must be
+    exact (InexactDivision otherwise).
     """
-    kr = hilbert_series(cone)
-    num = kr.num
-    for a in denom:
-        num = num * LaurentPoly.one_minus(a)
-    return KRational(num, kr.den).as_laurent()
+    n = cone.n
+    terms = []
+    for piece in triangulate(cone):
+        rest, left = list(denom), []
+        for g in piece.generators:
+            if g in rest:
+                rest.remove(g)
+            else:
+                left.append(g)
+        points = LaurentPoly(n, {b if b else (0,) * n: 1
+                                 for b in piece.parallelepiped_points()})
+        terms.append((points * _poly_product(n, rest), left))
+    return binomial_fraction_sum(n, terms)
 
 
 # --------------------------------------------- Minkowski sums and normality

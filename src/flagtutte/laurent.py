@@ -6,7 +6,10 @@ coefficients.  A :class:`KRational` keeps its denominator as a multiset of
 exponent vectors, each standing for a binomial factor (1 - t^a) — the only
 denominators the localization formulas ever produce — so cancellation can
 happen factor by factor and stay exact; dividing by one binomial is a
-running sum along the lines of its direction.
+running sum along the lines of its direction.  A sum of such fractions
+that must come out a Laurent polynomial, as the vertex-cone numerators and
+the pushforward fibers do, is taken over one common denominator whose
+factors are divided off at the end (:func:`binomial_fraction_sum`).
 """
 
 from fractions import Fraction
@@ -393,6 +396,28 @@ def _poly_product(nvars, exps):
     for a in exps:
         p = p * LaurentPoly.one_minus(a)
     return p
+
+
+def binomial_fraction_sum(nvars, terms, times=()):
+    """The Laurent polynomial prod_{a in times} (1 - t^a) * sum of
+    num / prod_{a in den} (1 - t^a) over the pairs (num, den) in terms.
+
+    The terms are brought to the union by maximum L of their denominators,
+    their numerators summed and multiplied by `times`, and each factor of
+    L is divided off; every division must be exact (InexactDivision
+    otherwise), so no factor is tried that does not divide.
+    """
+    common = ()
+    for _, den in terms:
+        common = _multiset_max(common, den)
+    total = LaurentPoly.zero(nvars)
+    for num, den in terms:
+        total = total + num * _poly_product(nvars,
+                                            _multiset_sub(common, den))
+    total = total * _poly_product(nvars, times)
+    for a in common:
+        total = total.exact_divide(LaurentPoly.one_minus(a))
+    return total
 
 
 def evaluate_at_one(f, weights):

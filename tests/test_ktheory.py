@@ -1,13 +1,16 @@
+from pathlib import Path
+
 import pytest
 
-from flagtutte.errors import InexactDivision, SpaceMismatch
+from flagtutte.errors import CheckFailed, InexactDivision, SpaceMismatch
+from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.invariants import (characteristic_poly, log_concavity,
                                   tutte_rank_nullity)
 from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
-                               compare_qprime_ktutte, k_tutte, o1_class,
-                               parse_chain, pullback, pushforward_to_pp,
-                               to_nonequivariant, y_class)
-from flagtutte.laurent import LaurentPoly
+                               _pushforward_value, compare_qprime_ktutte,
+                               k_tutte, o1_class, parse_chain, pullback,
+                               pushforward_to_pp, to_nonequivariant, y_class)
+from flagtutte.laurent import KRational, LaurentPoly
 from flagtutte.matroid import uniform_matroid
 from flagtutte.polyflag import flag_from_constituents
 
@@ -25,6 +28,40 @@ def unit(n, i):
 
 def flag_str_set(space):
     return set(space.fixed_points())
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_flag(name):
+    return as_flag_matroid(load_object(FIXTURES / f"{name}.json"))
+
+
+def lifted_class(flag):
+    """The class k_tutte pushes forward: y times O(1), on ranks
+    (1, ..., n-1)."""
+    n = flag.n
+    cls = y_class(flag) * o1_class(FlagSpace(n, flag.ranks))
+    return pullback(cls, FlagSpace(n, (1,) + flag.ranks + (n - 1,)))
+
+
+def full_denominator_value(space, cls, target, point):
+    """Oracle: fiber terms over whole source charts, summed, times the
+    whole target chart."""
+    n = space.n
+    (a,), hyperplane = point
+    total = KRational(LaurentPoly.zero(n))
+    if a not in hyperplane:
+        return total.num
+    for chain in space.fixed_points():
+        if chain[0] == (a,) and chain[-1] == hyperplane:
+            den = [tuple(x - y for x, y in zip(unit(n, j), unit(n, i)))
+                   for i, j in space.chart_pairs(chain)]
+            total = total + KRational(cls.value(chain), den)
+    for i, j in target.chart_pairs(point):
+        total = total * LaurentPoly.one_minus(
+            tuple(x - y for x, y in zip(unit(n, j), unit(n, i))))
+    return total.as_laurent()
 
 
 EXAMPLE_TUTTE = LaurentPoly(2, {(2, 2): 1, (2, 1): 1, (1, 2): 1, (2, 0): 1,
@@ -194,6 +231,34 @@ class TestPushforward:
     def test_pushforward_satisfies_gkm(self):
         assert self.build_pushed().gkm_verdict()
 
+    @pytest.mark.parametrize("flag", [
+        fixture_flag("flag_u23_5"),
+        flag_from_constituents([uniform_matroid(3, 6)])],
+        ids=["flag_u23_5", "u36"])
+    def test_cancelled_charts_match_full_denominators(self, flag):
+        cls = lifted_class(flag)
+        target = ProjProductSpace(flag.n)
+        nonzero = 0
+        for point in target.fixed_points():
+            value = _pushforward_value(cls.space, cls, target, point)
+            assert value == full_denominator_value(cls.space, cls, target,
+                                                   point), point
+            nonzero += not value.is_zero()
+        assert nonzero > flag.n
+
+    def test_fiber_chart_without_a_target_factor_fails(self, monkeypatch):
+        cls = lifted_class(fixture_flag("flag_u23_5"))
+        space, target = cls.space, ProjProductSpace(5)
+        point = ((0,), (0, 1, 2, 3))
+        assert not _pushforward_value(space, cls, target, point).is_zero()
+        charts = space.chart_pairs
+        monkeypatch.setattr(space, "chart_pairs", lambda chain: [
+            pair for pair in charts(chain) if pair != (0, 2)])
+        with pytest.raises(CheckFailed) as info:
+            _pushforward_value(space, cls, target, point)
+        assert info.value.stage == "pushforward"
+        assert info.value.witness == (-1, 0, 1, 0, 0)
+
 
 class TestToNonEquivariant:
     def test_line_bundle_of_p1(self):
@@ -303,6 +368,15 @@ class TestKTutte:
     def test_comparison_report(self):
         report = compare_qprime_ktutte(four_flag_matroid())
         assert set(report) == {"qprime", "k_tutte", "equal"}
+
+
+class TestPappus:
+    def test_y_class_of_pappus8_matrix(self):
+        # a guard on the cost of the vertex cones: 49 of them, each against
+        # a chart of 15 factors
+        cls = y_class(fixture_flag("pappus8_matrix"))
+        assert len(cls.values) == 49
+        assert cls.gkm_verdict()
 
 
 class TestLongerFlags:

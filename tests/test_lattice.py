@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagtutte import linalg
-from flagtutte.errors import (CheckFailed, FlagTutteError, NegativeShift,
-                              NoDecomposition, NotAVertex, NotPointed)
+from flagtutte.errors import (CheckFailed, FlagTutteError, InexactDivision,
+                              NegativeShift, NoDecomposition, NotAVertex,
+                              NotPointed)
 from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
-                               RationalCone, base_polytope, cone_at_vertex,
+                               RationalCone, _diagonalized_points,
+                               _fraction_pieces, base_polytope,
+                               cone_at_vertex,
                                count_shifted, decompose_lattice_point,
                                edge_cone,
                                edge_direction_check, edges, flag_polytope,
@@ -214,6 +217,136 @@ class TestEdgeCones:
     def test_directions_are_made_primitive(self):
         cone = edge_cone([(0, 2, -2), (1, 0, -1)], 3)
         assert cone.rays() == ((0, 1, -1), (1, 0, -1))
+
+
+def fraction_numerator(cone, denom):
+    """Oracle: the Hilbert numerator from the rational triangulation and
+    the integer diagonalization points, over the full denominator."""
+    n = cone.n
+    rays = cone.rays()
+    if not rays:  # the apex alone
+        total = KRational(LaurentPoly.one(n))
+    else:
+        total = KRational(LaurentPoly.zero(n))
+        for piece in _fraction_pieces(rays):
+            num = LaurentPoly(n, {})
+            for b in _diagonalized_points(piece):
+                num = num + LaurentPoly.monomial(b)
+            total = total + KRational(num, piece.generators)
+    for a in denom:
+        total = total * LaurentPoly.one_minus(a)
+    return total.as_laurent()
+
+
+def sum_zero_box(n):
+    """Points of {-1, 0, 1}^n with coordinate sum 0, where every vertex
+    cone of a generalized permutohedron lies."""
+    return [pt for pt in itertools.product((-1, 0, 1), repeat=n)
+            if sum(pt) == 0]
+
+
+def assert_arc_pieces_are_exact(p, denom_at):
+    """At every vertex: the arc pieces partition the cone, every forest
+    point is the diagonalization point, and hilbert_numerator equals the
+    rational oracle against the chart and against doubled characters,
+    which leave every generator over to divide off exactly."""
+    box = sum_zero_box(p.n)
+    for v in p.vertices:
+        cone = cone_at_vertex(p, v)
+        pieces = triangulate(cone)
+        for pt in box:
+            inside = (linalg.in_cone(cone.rays(), pt) if cone.rays()
+                      else not any(pt))
+            multiplicity = sum(piece_membership(q, pt) for q in pieces)
+            assert multiplicity == (1 if inside else 0), (v, pt)
+        for piece in pieces:
+            if piece.generators:
+                points = piece.parallelepiped_points()
+                assert len(points) == 1
+                assert points == _diagonalized_points(piece)
+        denom = denom_at(v)
+        assert hilbert_numerator(cone, denom) == \
+            fraction_numerator(cone, denom), v
+        doubled = [tuple(2 * x for x in a) for a in denom]
+        assert hilbert_numerator(cone, doubled) == \
+            fraction_numerator(cone, doubled), v
+
+
+def chart_of_vertex(n, v):
+    """Chart characters e_j - e_i at a 0/1 vertex: i in the basis, j
+    outside it."""
+    return [tuple((k == j) - (k == i) for k in range(n))
+            for i in range(n) if v[i] for j in range(n) if not v[j]]
+
+
+def chart_of_flag_vertex(n, ranks, v):
+    """Chart characters at the vertex e_F of a flag polytope: the levels
+    of F are the sets of coordinates at least s - level."""
+    chain = [tuple(i for i in range(n) if v[i] >= len(ranks) - level)
+             for level in range(len(ranks))]
+    pairs = {(i, j) for part in chain for i in part
+             for j in range(n) if j not in part}
+    return [tuple((k == j) - (k == i) for k in range(n))
+            for i, j in sorted(pairs)]
+
+
+class TestArcCones:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=1, max_size=3)))
+    def test_arc_path_matches_oracle_on_random_matroids(self, rows):
+        p = base_polytope(matroid_from_matrix(rows))
+        assert_arc_pieces_are_exact(p, lambda v: chart_of_vertex(p.n, v))
+
+    @pytest.mark.parametrize("k, n", [(2, 4), (2, 5)])
+    def test_arc_path_matches_oracle_on_uniform_matroids(self, k, n):
+        p = base_polytope(uniform_matroid(k, n))
+        assert_arc_pieces_are_exact(p, lambda v: chart_of_vertex(n, v))
+
+    @pytest.mark.parametrize("name", ["flag_rank12", "flag_u23_5"])
+    def test_arc_path_matches_oracle_on_flag_polytopes(self, name):
+        path = Path(__file__).resolve().parent.parent / "fixtures"
+        flag = as_flag_matroid(load_object(path / f"{name}.json"))
+        p = flag_polytope(flag)
+        assert_arc_pieces_are_exact(
+            p, lambda v: chart_of_flag_vertex(p.n, flag.ranks, v))
+
+    def test_vertex_cones_need_no_rational_algebra(self, monkeypatch):
+        p = base_polytope(uniform_matroid(3, 6))
+        cones = [cone_at_vertex(p, v) for v in p.vertices]
+
+        def forbidden(*args):
+            raise AssertionError("rational linear algebra ran")
+
+        for name in ("nullspace", "row_reduce", "integer_diagonalize",
+                     "solve_exact"):
+            monkeypatch.setattr(linalg, name, forbidden)
+        for cone, v in zip(cones, p.vertices):
+            assert sum(len(q.parallelepiped_points())
+                       for q in triangulate(cone)) == 6
+            hilbert_numerator(cone, chart_of_vertex(6, v))
+
+    def test_cyclic_arcs_are_not_a_forest(self):
+        piece = HalfOpenSimplicialCone(
+            [(1, -1, 0), (0, 1, -1), (-1, 0, 1)], (False, True, False))
+        with pytest.raises(CheckFailed) as info:
+            piece.parallelepiped_points()
+        assert info.value.stage == "parallelepiped points"
+
+    def test_forest_point_sums_open_generators(self):
+        piece = HalfOpenSimplicialCone(
+            [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, -1, 1)],
+            (True, False, True))
+        assert piece.parallelepiped_points() == [(1, -1, -1, 1)]
+        assert _diagonalized_points(piece) == [(1, -1, -1, 1)]
+
+    def test_leftover_that_does_not_divide_raises(self):
+        # Hilb of the ray cone is 1 / (1 - t^r), and 1 - t^(r + s) is not a
+        # multiple of 1 - t^r
+        cone = edge_cone([(1, -1, 0)], 3)
+        with pytest.raises(InexactDivision):
+            hilbert_numerator(cone, [(1, 0, -1)])
 
 
 class TestTriangulate:

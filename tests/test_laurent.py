@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from flagtutte.errors import (BadWeights, DimensionMismatch, InexactDivision,
                               PoleAtOne)
-from flagtutte.laurent import (KRational, LaurentPoly, evaluate_at_one,
+from flagtutte.laurent import (KRational, LaurentPoly, _poly_product,
+                               binomial_fraction_sum, evaluate_at_one,
                                format_poly)
 
 
@@ -179,6 +180,39 @@ class TestKRational:
         kr = KRational(LaurentPoly.one(1), [(1,)])
         with pytest.raises(InexactDivision):
             kr.as_laurent()
+
+
+small_exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+small_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3),
+    max_size=4).map(lambda terms: LaurentPoly(2, terms))
+
+
+class TestBinomialFractionSum:
+    @settings(max_examples=80, deadline=None)
+    @given(small_polys, st.lists(st.lists(small_exps, max_size=2),
+                                 min_size=1, max_size=3),
+           st.lists(small_exps, max_size=2), st.data())
+    def test_sum_with_a_known_polynomial_value(self, p, dens, times, data):
+        # the last term, over every other denominator at once, makes the
+        # whole sum equal p
+        nums = [data.draw(small_polys) for _ in dens]
+        last = [a for den in dens for a in den]
+        tail = p * _poly_product(2, last)
+        for k, num in enumerate(nums):
+            others = [a for j, den in enumerate(dens) if j != k for a in den]
+            tail = tail - num * _poly_product(2, others)
+        terms = list(zip(nums, dens)) + [(tail, last)]
+        assert binomial_fraction_sum(2, terms, times) == \
+            p * _poly_product(2, times)
+
+    def test_sum_that_is_not_a_polynomial_raises(self):
+        one = LaurentPoly.one(1)
+        with pytest.raises(InexactDivision):
+            binomial_fraction_sum(1, [(one, [(1,)]), (one, [(2,)])])
+
+    def test_empty_sum_is_zero(self):
+        assert binomial_fraction_sum(2, [], [(1, 0)]).is_zero()
 
 
 class TestEvaluateAtOne:

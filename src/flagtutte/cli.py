@@ -19,7 +19,7 @@ from .invariants import (_from_shifted, characteristic_poly, format_bivar,
 from .ktheory import k_tutte, parse_chain, y_class
 from .lattice import (base_polytope, edges, is_normal, lattice_points,
                       poly_base_polytope)
-from .laurent import KRational, evaluate_at_one, format_poly
+from .laurent import evaluate_at_one, format_poly
 from .matroid import Matroid, cover_by_independent, union_rank
 from .polyflag import FlagMatroid, Polymatroid, quotient_witness
 
@@ -60,7 +60,7 @@ def _poly_payload(p):
 def _weights_guard(values, weights):
     """Check t=1 evaluation through weights against direct substitution."""
     for v in values:
-        got = evaluate_at_one(KRational.from_poly(v), weights)
+        got = evaluate_at_one(v, weights)
         if got != v.subs_one():
             raise EvaluationMismatch(
                 f"weights {list(weights)} evaluate {format_poly(v)} to {got}, "

@@ -9,9 +9,10 @@ level contains i but not j.  Characters are exponent vectors, so the pair
 The localization class of a flag matroid is zero away from its flags and
 the numerator of the vertex-cone Hilbert series against the chart
 denominator at them.  Multiplying by the Segre-Veronese line-bundle weight
-t^{e_F}, pulling back to the space with ranks (1, k, n-1), pushing forward
-to the product of two projective spaces and solving triangularly against
-the coordinate-subspace classes produces the bivariate polynomial
+t^{e_F}, pulling back to the space with ranks (1, k, n-1) and pushing
+forward to the product of two projective spaces (one fiber sum per target
+point, without building the larger space), then solving triangularly
+against the coordinate-subspace classes produces the bivariate polynomial
 invariant; every division along the way must be exact.
 """
 
@@ -19,13 +20,16 @@ import itertools
 
 from .errors import (CheckFailed, InexactDivision, OutOfRange, ParseError,
                      SpaceMismatch, Verdict)
-from .laurent import (LaurentPoly, _poly_product, _vsub,
-                      binomial_fraction_sum)
+from .laurent import LaurentPoly, _poly_product, binomial_fraction_sum
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
 
 
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
+def _char(n, i, j):
+    """The character exponent e_i - e_j."""
+    out = [0] * n
+    out[i] += 1
+    out[j] -= 1
+    return tuple(out)
 
 
 def parse_chain(text):
@@ -100,8 +104,7 @@ class FlagSpace:
 
     def chart_characters(self, chain):
         """Chart character exponents e_i - e_j over S(F)."""
-        return [_vsub(_unit(self.n, i), _unit(self.n, j))
-                for i, j in self.chart_pairs(chain)]
+        return [_char(self.n, i, j) for i, j in self.chart_pairs(chain)]
 
     def move(self, chain, i, j):
         """The flag with i and j swapped at every level containing i only."""
@@ -166,8 +169,7 @@ class ProjProductSpace:
         return sorted(pairs)
 
     def chart_characters(self, point):
-        return [_vsub(_unit(self.n, i), _unit(self.n, j))
-                for i, j in self.chart_pairs(point)]
+        return [_char(self.n, i, j) for i, j in self.chart_pairs(point)]
 
     def one_dim_orbits(self):
         out = []
@@ -223,7 +225,7 @@ class EquivariantClass:
     def gkm_verdict(self):
         """Congruence f(x) = f(y) mod (1 - chi) along every 1-dim orbit."""
         for f1, f2, (i, j) in self.space.one_dim_orbits():
-            chi = _vsub(_unit(self.space.n, i), _unit(self.space.n, j))
+            chi = _char(self.space.n, i, j)
             diff = self.value(f1) - self.value(f2)
             if not diff.divisible_by(LaurentPoly.one_minus(chi)):
                 return Verdict(False, "congruence fails",
@@ -252,8 +254,7 @@ def o1_class(space):
 def _y_value(space, flag_poly, chain):
     vertex = space.weight_vector(chain)
     cone = cone_at_vertex(flag_poly, vertex)
-    denom = [_vsub(_unit(space.n, j), _unit(space.n, i))
-             for i, j in space.chart_pairs(chain)]
+    denom = [_char(space.n, j, i) for i, j in space.chart_pairs(chain)]
     return hilbert_numerator(cone, denom)
 
 
@@ -276,7 +277,11 @@ def y_class(flag_matroid):
 
 
 def pullback(cls, target_space):
-    """Composition with the forgetful projection to the coarser flags."""
+    """Composition with the forgetful projection to the coarser flags.
+
+    The construction pulls back to Fl(1, ranks, n-1); :func:`pushforward_to_pp`
+    does that fiber by fiber, and the tests compare it against this map.
+    """
     source = cls.space
     if (target_space.n != source.n
             or not set(source.distinct_ranks)
@@ -292,36 +297,36 @@ def pullback(cls, target_space):
     return EquivariantClass(target_space, values)
 
 
-def _pushforward_value(space, cls, target_space, point):
+def _pushforward_value(cls, target_space, point):
     """The pushforward at one point ((a,), H) of the target, H missing m.
 
-    The fiber terms val / prod (1 - chi) over each source chart are summed
-    and multiplied by the target chart.  The target chart holds (a, m)
-    twice, and every source chart contains the rest of it (CheckFailed at
-    stage "pushforward", with the missing factor as witness, otherwise),
-    so that part cancels from each term before the sum, and only the
-    factor 1 - t^(e_m - e_a) multiplies it.  What is left of a chart pairs
+    The fiber holds the source chains F with a in F_1 and F_s inside H;
+    its chart is that of the chain (a) < F < H of Fl(1, ranks, n-1).  The
+    fiber terms val / prod (1 - chi) over each such chart are summed and
+    multiplied by the target chart.  The target chart holds (a, m) twice,
+    and every fiber chart contains the rest of it (CheckFailed at stage
+    "pushforward", with the missing factor as witness, otherwise), so that
+    part cancels from each term before the sum, and only the factor
+    1 - t^(e_m - e_a) multiplies it.  What is left of a chart pairs
     elements of H - {a}; each factor is turned to one orientation of its
     pair, so the terms share a small common denominator
     (:func:`flagtutte.laurent.binomial_fraction_sum`).
     """
+    space = cls.space
     n = space.n
     (a,), hyperplane = point
-    if a not in set(hyperplane):
+    inside = set(hyperplane)
+    if a not in inside:
         return LaurentPoly.zero(n)  # empty fiber
-    shared = [_vsub(_unit(n, j), _unit(n, i))
-              for i, j in target_space.chart_pairs(point)]
-    extra = _vsub(_unit(n, target_space.missing(hyperplane)), _unit(n, a))
+    shared = [_char(n, j, i) for i, j in target_space.chart_pairs(point)]
+    extra = _char(n, target_space.missing(hyperplane), a)
     shared.remove(extra)
     terms = []
-    for chain in space.fixed_points():
-        if chain[0] != (a,) or chain[-1] != hyperplane:
+    for chain, val in cls.values.items():
+        if a not in chain[0] or not inside.issuperset(chain[-1]):
             continue
-        val = cls.value(chain)
-        if val.is_zero():
-            continue
-        den = [_vsub(_unit(n, j), _unit(n, i))
-               for i, j in space.chart_pairs(chain)]
+        den = [_char(n, j, i) for i, j
+               in space.chart_pairs(((a,),) + chain + (hyperplane,))]
         for chi in shared:
             if chi not in den:
                 raise CheckFailed("pushforward", "a fiber chart lacks a "
@@ -336,22 +341,18 @@ def _pushforward_value(space, cls, target_space, point):
 
 
 def pushforward_to_pp(cls):
-    """Pushforward along (first, last) to the line-hyperplane product.
+    """Pull back to Fl(1, ranks, n-1), push along (first, last) to the
+    line-hyperplane product.
 
-    The source must be a flag space whose distinct ranks start at 1 and end
-    at n-1.  Fibers over incident pairs are summed over what is left of
-    the chart denominators once the target chart cancels
+    The class may live on any flag space; the larger space is never built.
+    Each target point sums its fiber over what is left of the chart
+    denominators once the target chart cancels
     (:func:`_pushforward_value`); the result must be a Laurent polynomial
     and satisfy GKM, both asserted.
     """
-    space = cls.space
-    n = space.n
-    if space.distinct_ranks[0] != 1 or space.distinct_ranks[-1] != n - 1:
-        raise SpaceMismatch(
-            f"pushforward needs ranks from 1 to n-1, got {space.ranks}")
-    target = ProjProductSpace(n)
+    target = ProjProductSpace(cls.space.n)
     out = EquivariantClass(
-        target, {pt: _pushforward_value(space, cls, target, pt)
+        target, {pt: _pushforward_value(cls, target, pt)
                  for pt in target.fixed_points()})
     out.assert_gkm("pushforward")
     return out
@@ -360,14 +361,14 @@ def pushforward_to_pp(cls):
 def _line_factors(n, a, i):
     """Exponents of the binomials whose product is the structure sheaf of
     {x_0 = ... = x_{a-1} = 0} at the line point i >= a."""
-    return [_vsub(_unit(n, l), _unit(n, i)) for l in range(a)]
+    return [_char(n, l, i) for l in range(a)]
 
 
 def _hyperplane_factors(n, b, missing):
     """Exponents of the binomials whose product is the structure sheaf of
     {H containing e_0, ..., e_{b-1}} at the hyperplane with the given
     missing index >= b (the dual torus acts with t_m t_l^{-1})."""
-    return [_vsub(_unit(n, missing), _unit(n, l)) for l in range(b)]
+    return [_char(n, missing, l) for l in range(b)]
 
 
 def to_nonequivariant(cls):
@@ -404,29 +405,16 @@ def k_tutte(flag_matroid):
     """Bivariate polynomial invariant of a flag matroid via localization.
 
     Pipeline: localization class, product with the line-bundle weight,
-    pullback to ranks (1, k, n-1), pushforward to the line-hyperplane
-    product, triangular reduction.  Exponents stay below n in each
-    variable by construction.
+    pull-push to the line-hyperplane product through ranks (1, k, n-1),
+    triangular reduction.  Exponents stay below n in each variable by
+    construction.  The pulled-back class needs no GKM check of its own:
+    each 1-dim orbit of Fl(1, k, n-1) projects to one point, where the
+    difference is zero, or onto an orbit of Fl(k) with the same character,
+    whose congruence the product's check covers.
     """
     n = flag_matroid.n
     if n < 2:
         raise OutOfRange("the construction needs n >= 2")
-    space = FlagSpace(n, flag_matroid.ranks)
-    cls = y_class(flag_matroid) * o1_class(space)
+    cls = y_class(flag_matroid) * o1_class(FlagSpace(n, flag_matroid.ranks))
     cls.assert_gkm("product with the line bundle")
-    big = FlagSpace(n, (1,) + flag_matroid.ranks + (n - 1,))
-    lifted = pullback(cls, big)
-    lifted.assert_gkm("pullback")
-    pushed = pushforward_to_pp(lifted)
-    return to_nonequivariant(pushed)
-
-
-def compare_qprime_ktutte(flag_matroid):
-    """Side-by-side report of the two polymatroid polynomials (no identity
-    is claimed between them)."""
-    from .invariants import qprime_of_polymatroid
-    from .polyflag import polymatroid_of_flag
-    qp = qprime_of_polymatroid(polymatroid_of_flag(flag_matroid))
-    kt = k_tutte(flag_matroid)
-    return {"qprime": qp, "k_tutte": kt, "equal": qp == kt}
-
+    return to_nonequivariant(pushforward_to_pp(cls))

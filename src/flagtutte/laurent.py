@@ -12,6 +12,7 @@ the pushforward fibers do, is taken over one common denominator whose
 factors are divided off at the end (:func:`binomial_fraction_sum`).
 """
 
+import operator
 from fractions import Fraction
 
 from .errors import (BadWeights, CheckFailed, DimensionMismatch,
@@ -19,11 +20,11 @@ from .errors import (BadWeights, CheckFailed, DimensionMismatch,
 
 
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _along(e, support, k):

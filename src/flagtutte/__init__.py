@@ -11,10 +11,10 @@ from .matroid import (Matroid, check_rank_axioms, cover_by_independent,
                       gale_max, gale_max_family, matroid_from_bases,
                       matroid_from_graph, matroid_from_matrix,
                       uniform_matroid, union_rank)
-from .polyflag import (Flag, FlagMatroid, Polymatroid, enumerate_flags,
+from .polyflag import (FlagMatroid, Polymatroid, enumerate_flags,
                        flag_check_gale, flag_from_constituents,
-                       flag_from_subspace_flag, is_quotient, lifted_independent,
-                       poly_bases, polymatroid_from_matroid,
+                       flag_from_subspace_flag, flag_weight, is_quotient,
+                       lifted_independent, poly_bases, polymatroid_from_matroid,
                        polymatroid_from_rank, polymatroid_from_subspaces,
                        polymatroid_of_flag, polymatroid_to_matroid,
                        vertex_from_ordering)

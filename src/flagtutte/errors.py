@@ -5,8 +5,7 @@ Every domain error carries enough of a witness to reproduce the failure
 than preconditions return a :class:`Verdict` instead of raising.
 """
 
-from dataclasses import dataclass
-from typing import Any
+from collections import namedtuple
 
 
 class FlagTutteError(Exception):
@@ -141,13 +140,11 @@ class SchemaError(FlagTutteError):
     pass
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "ok reason witness",
+                         defaults=("", None))):
     """Outcome of a check: `ok` plus an explanation and optional witness."""
 
-    ok: bool
-    reason: str = ""
-    witness: Any = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

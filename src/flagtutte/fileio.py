@@ -175,11 +175,6 @@ def polymatroid_to_json(p):
     return {"type": "polymatroid", "n": p.n, "rank": list(p.rank_table)}
 
 
-def flag_to_json(f):
-    return {"type": "flag_matroid", "n": f.n, "ranks": list(f.ranks),
-            "constituents": [matroid_to_json(m) for m in f.constituents]}
-
-
 def laurent_to_json(p):
     return {"vars": p.nvars,
             "terms": [{"exp": list(e), "coeff": str(c)}

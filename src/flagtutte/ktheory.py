@@ -22,6 +22,7 @@ from .errors import (CheckFailed, InexactDivision, OutOfRange, ParseError,
                      SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, _poly_product, binomial_fraction_sum
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
+from .polyflag import enumerate_flags, flag_weight
 
 
 def _char(n, i, j):
@@ -84,12 +85,7 @@ class FlagSpace:
 
     def weight_vector(self, chain):
         """e_F: indicator sum over the full rank tuple, with multiplicity."""
-        by_size = {len(part): part for part in chain}
-        vec = [0] * self.n
-        for k in self.ranks:
-            for e in by_size[k]:
-                vec[e] += 1
-        return tuple(vec)
+        return flag_weight(self.n, self.ranks, chain)
 
     def chart_pairs(self, chain):
         """S(F): pairs (i, j) with i in some level missing j, sorted."""
@@ -261,17 +257,16 @@ def _y_value(space, flag_poly, chain):
 def y_class(flag_matroid):
     """Localization class of a flag matroid.
 
-    Zero on non-basis flags; on a basis flag, the numerator of the vertex
-    cone's Hilbert series against the chart denominator.  The GKM
-    congruence is asserted on the result.
+    Zero away from the basis flags, which
+    :func:`flagtutte.polyflag.enumerate_flags` lists; on a basis flag, the
+    numerator of the vertex cone's Hilbert series against the chart
+    denominator.  The GKM congruence is asserted on the result.
     """
     space = FlagSpace(flag_matroid.n, flag_matroid.ranks)
-    by_rank = {m.k: m for m in flag_matroid.constituents}
     poly = flag_polytope(flag_matroid)
-    flags = [chain for chain in space.fixed_points()
-             if all(by_rank[len(part)].is_basis(part) for part in chain)]
     cls = EquivariantClass(
-        space, {chain: _y_value(space, poly, chain) for chain in flags})
+        space, {chain: _y_value(space, poly, chain)
+                for chain in enumerate_flags(flag_matroid)})
     cls.assert_gkm("y_class")
     return cls
 

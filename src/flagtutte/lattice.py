@@ -4,7 +4,8 @@ Every polytope this library produces is a generalized permutohedron, so
 membership, lattice-point enumeration and face computations all run off the
 submodular description z: x(S) <= z(S) for all S with x(E) = z(E), kept as
 a full bitmask table.  Subset sums x(S) come from one table, vertices from
-the greedy rule of :mod:`flagtutte.polyflag`, and lattice points from one
+the greedy rule of :mod:`flagtutte.polyflag` (or, on a flag polytope, from
+the weights of its basis flags), and lattice points from one
 walk over the table that fixes a coordinate per level and closes the last
 two by an interval; the same walk lists the points or only counts them.
 Polytopes given only by vertices (test counterexamples, slices) fall back
@@ -48,7 +49,8 @@ from .errors import (CheckFailed, NegativeShift, NoDecomposition, NotAVertex,
 from . import linalg
 from .laurent import (KRational, LaurentPoly, _poly_product, _vadd, _vsub,
                       binomial_fraction_sum)
-from .polyflag import _greedy_vertex, polymatroid_of_flag
+from .polyflag import (_greedy_vertex, enumerate_flags, flag_weight,
+                       polymatroid_of_flag)
 
 
 def _dot(a, b):
@@ -158,8 +160,18 @@ def poly_base_polytope(p):
 
 
 def flag_polytope(flag_matroid):
-    """Minkowski sum of the constituent base polytopes."""
-    return poly_base_polytope(polymatroid_of_flag(flag_matroid))
+    """Minkowski sum of the constituent base polytopes.
+
+    Its vertices are the weights e_F of the basis flags (Borovik-Gelfand-
+    White), read off :func:`flagtutte.polyflag.enumerate_flags` without a
+    scan over orderings; the submodular description is the sum of the
+    constituent rank tables.
+    """
+    n, ranks = flag_matroid.n, flag_matroid.ranks
+    return LatticePolytope(
+        n, [flag_weight(n, ranks, chain)
+            for chain in enumerate_flags(flag_matroid)],
+        polymatroid_of_flag(flag_matroid).rank_table)
 
 
 def polytope_from_lattice_points(points):
@@ -291,7 +303,8 @@ def edges(p):
 
 
 def edge_direction_check(p, ranks=None):
-    """Every edge parallel to some e_i - e_j; flag vertices well shaped."""
+    """Every edge parallel to some e_i - e_j; with `ranks`, every vertex is
+    the weight of a flag of those ranks up to the order of coordinates."""
     verts = p.vertices
     for i, j in edges(p):
         d = _vsub(verts[j], verts[i])
@@ -300,23 +313,13 @@ def edge_direction_check(p, ranks=None):
             return Verdict(False, "edge not parallel to e_i - e_j",
                            witness=(verts[i], verts[j]))
     if ranks is not None:
-        expected = _rank_vector_pattern(p.n, ranks)
+        expected = flag_weight(p.n, ranks, tuple(
+            tuple(range(k)) for k in sorted(set(ranks))))
         for v in verts:
             if tuple(sorted(v, reverse=True)) != expected:
                 return Verdict(False, "vertex is not a rank vector, expected "
                                f"{expected}", witness=v)
     return Verdict(True)
-
-
-def _rank_vector_pattern(n, ranks):
-    s = len(ranks)
-    pattern = []
-    prev = 0
-    for level, k in enumerate(ranks):
-        pattern.extend([s - level] * (k - prev))
-        prev = k
-    pattern.extend([0] * (n - prev))
-    return tuple(pattern)
 
 
 # ------------------------------------------------------------------ cones
@@ -742,18 +745,12 @@ def triangulate(cone):
 def hilbert_series(cone):
     """Exact Hilbert series sum_{a in C cap Z^n} t^a as a KRational.
 
-    Raises NotPointed, through :meth:`RationalCone.rays`, when the cone
-    contains a line.
+    The numerator against the extreme rays (:func:`hilbert_numerator`)
+    over those rays.  Raises NotPointed, through
+    :meth:`RationalCone.rays`, when the cone contains a line.
     """
-    n = cone.n
-    total = KRational(LaurentPoly.zero(n))
-    for piece in triangulate(cone):
-        num = LaurentPoly(n, {})
-        for b in piece.parallelepiped_points():
-            b = b if b else (0,) * n
-            num = num + LaurentPoly.monomial(b)
-        total = total + KRational(num, piece.generators)
-    return total
+    rays = cone.rays()
+    return KRational(hilbert_numerator(cone, rays), rays)
 
 
 def hilbert_numerator(cone, denom):

@@ -278,6 +278,9 @@ class KRational:
     The denominator is stored unexpanded; construction greedily cancels any
     factor that divides the numerator exactly, so the representation is
     reduced and a genuine Laurent polynomial always ends with no denominator.
+    The library only builds one (:func:`flagtutte.lattice.hilbert_series`)
+    and evaluates one (:func:`evaluate_at_one`); the sums, products and
+    cross-multiplied equality are the arithmetic of the tests' oracles.
     """
 
     __slots__ = ("num", "den")

@@ -53,7 +53,12 @@ class Matroid:
         return _mask(subset) in self._basis_masks
 
     def rank_table(self):
-        """Rank of every subset, indexed by bitmask."""
+        """Rank of every subset, indexed by bitmask.
+
+        Independent masks are the downward closure of the bases.  Each mask
+        m then gets a greedy basis: that of m minus its lowest element, plus
+        that element when the union stays independent; the rank is its size.
+        """
         if self._rank_table is None:
             n, full = self.n, 1 << self.n
             independent = bytearray(full)
@@ -66,12 +71,15 @@ class Matroid:
                         if m >> i & 1:
                             independent[m & ~(1 << i)] = 1
             table = [0] * full
+            basis = [0] * full
             for m in range(1, full):
-                if independent[m]:
-                    table[m] = bin(m).count("1")
+                low = m & -m
+                rest = m ^ low
+                b = basis[rest] | low
+                if independent[b]:
+                    basis[m], table[m] = b, table[rest] + 1
                 else:
-                    table[m] = max(table[m & ~(1 << i)]
-                                   for i in range(n) if m >> i & 1)
+                    basis[m], table[m] = basis[rest], table[rest]
             self._rank_table = tuple(table)
         return self._rank_table
 

@@ -3,7 +3,10 @@
 A polymatroid is stored as its full rank table over all 2^n subsets (the
 ground set is kept small enough that this is the convenient canonical
 form).  A flag matroid is a tuple of pairwise concordant matroids with
-nondecreasing ranks; its flags are enumerated on demand.
+nondecreasing ranks.  Its basis flags are chains of constituent bases over
+the distinct ranks, each a sorted tuple of sorted tuples: the fixed points
+of :class:`flagtutte.ktheory.FlagSpace` that carry its class, with the
+flag polytope's vertices as their weights.
 """
 
 import itertools
@@ -12,8 +15,8 @@ from fractions import Fraction
 from .errors import (AxiomViolation, MismatchedGroundSets, NotConcordant,
                      NotNested, OutOfRange, RankBoundTooSmall, Verdict)
 from . import linalg
-from .matroid import (Matroid, _mask, check_ordering, check_rank_axioms,
-                      gale_key, matroid_from_matrix)
+from .matroid import (Matroid, _mask, _positions, check_ordering,
+                      check_rank_axioms, gale_leq, matroid_from_matrix)
 
 
 class Polymatroid:
@@ -159,36 +162,6 @@ def quotient_witness(n_matroid, m_matroid):
     return None
 
 
-class Flag:
-    """A chain of subsets, one per rank (repeats kept), with its weight."""
-
-    __slots__ = ("sets", "e_vector")
-
-    def __init__(self, n, sets):
-        self.sets = tuple(frozenset(s) for s in sets)
-        for small, big in zip(self.sets, self.sets[1:]):
-            if not small <= big:
-                raise NotNested(f"{sorted(small)} not inside {sorted(big)}")
-        vec = [0] * n
-        for s in self.sets:
-            for e in s:
-                vec[e] += 1
-        self.e_vector = tuple(vec)
-
-    def key(self):
-        return tuple(tuple(sorted(s)) for s in self.sets)
-
-    def __eq__(self, other):
-        return isinstance(other, Flag) and self.sets == other.sets
-
-    def __hash__(self):
-        return hash(self.sets)
-
-    def __repr__(self):
-        return "Flag(" + " < ".join(
-            "{" + ",".join(map(str, sorted(s))) + "}" for s in self.sets) + ")"
-
-
 class FlagMatroid:
     """Concordant matroids M_1, ..., M_s with nondecreasing ranks."""
 
@@ -233,47 +206,58 @@ def flag_from_constituents(matroids):
 
 
 def enumerate_flags(flag_matroid):
-    """All containment-compatible tuples of constituent bases, sorted."""
-    ms = flag_matroid.constituents
-    flags = []
+    """The basis flags: chains of constituent bases over the distinct
+    ranks, each a sorted tuple of sorted tuples, in sorted order.
 
-    def rec(level, chain):
-        if level == len(ms):
-            flags.append(Flag(flag_matroid.n, chain))
-            return
-        prev = chain[-1] if chain else frozenset()
-        for b in ms[level].bases:
-            bs = frozenset(b)
-            if prev <= bs:
-                rec(level + 1, chain + [bs])
+    These are the torus-fixed points where the localization class lives;
+    their weights (:func:`flag_weight`) are the vertices of the flag
+    matroid polytope.
+    """
+    chains = [()]
+    for m in flag_matroid.constituents:
+        new = []
+        for chain in chains:
+            prev = chain[-1] if chain else ()
+            for b in m.bases:
+                if set(prev).issubset(b):
+                    # an equal rank forces an equal set: keep one level
+                    new.append(chain + (b,) if len(b) > len(prev) else chain)
+        chains = new
+    return sorted(chains)
 
-    rec(0, [])
-    return sorted(flags, key=Flag.key)
+
+def flag_weight(n, ranks, chain):
+    """e_F: the indicator vectors of the levels summed over the rank tuple,
+    so a level counts once per entry of `ranks` equal to its size."""
+    by_size = {len(part): part for part in chain}
+    vec = [0] * n
+    for k in ranks:
+        for e in by_size[k]:
+            vec[e] += 1
+    return tuple(vec)
 
 
 def flag_check_gale(n, ranks, flags):
     """Does every linear ordering admit a unique Gale-maximal flag?
 
     Independent of the concordance theorem: raw dominance test over all n!
-    orderings.  The witness of a failure is the offending ordering.
+    orderings on chains over the distinct ranks.  Raises NotNested on a
+    chain that does not increase; the witness of a failure is the
+    offending ordering.
     """
     flags = list(flags)
-    for f in flags:
-        if tuple(len(s) for s in f.sets) != tuple(ranks):
-            return Verdict(False, "flag has wrong rank tuple", witness=f)
+    sizes = tuple(sorted(set(ranks)))
+    for chain in flags:
+        for small, big in zip(chain, chain[1:]):
+            if not set(small) <= set(big):
+                raise NotNested(f"{sorted(small)} not inside {sorted(big)}")
+        if tuple(map(len, chain)) != sizes:
+            return Verdict(False, "flag has wrong rank tuple", witness=chain)
     for order in itertools.permutations(range(n)):
-        pos = [0] * n
-        for p, e in enumerate(order):
-            pos[e] = p
-        maximal = []
-        for cand in flags:
-            ck = [gale_key(s, pos) for s in cand.sets]
-            if all(
-                all(x <= y for x, y in zip(gale_key(s, pos), k))
-                for other in flags
-                for s, k in zip(other.sets, ck)
-            ):
-                maximal.append(cand)
+        pos = _positions(order)
+        maximal = [cand for cand in flags
+                   if all(gale_leq(s, t, pos) for other in flags
+                          for s, t in zip(other, cand))]
         if len(maximal) != 1:
             return Verdict(False,
                            f"{len(maximal)} Gale-maximal flags", witness=order)

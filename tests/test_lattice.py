@@ -3,16 +3,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flagtutte import linalg
 from flagtutte.errors import (CheckFailed, FlagTutteError, InexactDivision,
                               NegativeShift, NoDecomposition, NotAVertex,
-                              NotPointed)
+                              NotPointed, OutOfRange)
 from flagtutte.fileio import as_flag_matroid, load_object
+from flagtutte.ktheory import FlagSpace
 from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
                                RationalCone, _diagonalized_points,
-                               _fraction_pieces, base_polytope,
+                               _fraction_pieces, _gp_vertices, base_polytope,
                                cone_at_vertex,
                                count_shifted, decompose_lattice_point,
                                edge_cone,
@@ -23,6 +24,8 @@ from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
                                polytope_from_lattice_points, triangulate)
 from flagtutte.laurent import KRational, LaurentPoly
 from flagtutte.matroid import matroid_from_matrix, uniform_matroid
+from flagtutte.polyflag import (enumerate_flags, flag_from_subspace_flag,
+                                polymatroid_of_flag)
 from conftest import m2_rank2
 from test_polyflag import subspace_polymatroid, four_flag_matroid
 
@@ -56,6 +59,26 @@ class TestBasePolytopes:
     def test_flag_example_polytope(self):
         p = flag_polytope(four_flag_matroid())
         assert p.vertices == ((1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=n - 1, max_size=n - 1),
+        st.sets(st.integers(1, n - 1), min_size=1))))
+    def test_flag_vertices_are_basis_flag_weights(self, case):
+        rows, prefixes = case
+        try:
+            f = flag_from_subspace_flag([rows[:k] for k in sorted(prefixes)])
+        except OutOfRange:  # a prefix of zero rows spans nothing
+            assume(False)
+        n = f.n
+        # the greedy scan over all orderings is the oracle
+        assert flag_polytope(f).vertices == tuple(
+            _gp_vertices(n, polymatroid_of_flag(f).rank_table))
+        by_rank = {m.k: m for m in f.constituents}
+        assert enumerate_flags(f) == [
+            chain for chain in FlagSpace(n, f.ranks).fixed_points()
+            if all(by_rank[len(part)].is_basis(part) for part in chain)]
 
     def test_point_polytope(self):
         p = base_polytope(uniform_matroid(1, 1))

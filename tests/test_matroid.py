@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagtutte.errors import (EmptyBases, ExchangeViolation,
                               MismatchedGroundSets, NotAMatroid, OutOfRange,
-                              UnequalCardinality)
+                              UnequalCardinality, Verdict)
 from flagtutte.matroid import (Matroid, check_rank_axioms,
                                cover_by_independent, gale_leq, gale_max,
                                gale_max_family, matroid_from_bases,
@@ -71,6 +72,37 @@ class TestRank:
     def test_rank_out_of_range(self):
         with pytest.raises(OutOfRange):
             uniform_matroid(1, 2).rank({3})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=1, max_size=4)))
+    def test_rank_table_is_largest_basis_intersection(self, rows):
+        m = matroid_from_matrix(rows)
+        masks = [sum(1 << e for e in b) for b in m.bases]
+        assert m.rank_table() == tuple(
+            max(bin(mask & b).count("1") for b in masks)
+            for mask in range(1 << m.n))
+
+
+class TestVerdict:
+    def test_truth_is_ok(self):
+        assert bool(Verdict(False)) is False
+        assert bool(Verdict(False, "why", witness=(1,))) is False
+        assert bool(Verdict(True)) is True
+
+    def test_fields_defaults_and_text(self):
+        v = Verdict(False, "bad", witness=(0, 1))
+        assert (v.ok, v.reason, v.witness) == (False, "bad", (0, 1))
+        assert Verdict(True) == Verdict(True, "", None)
+        assert repr(v) == "Verdict(ok=False, reason='bad', witness=(0, 1))"
+        assert str(v) == "FAIL: bad witness=(0, 1)"
+        assert str(Verdict(True, "ok")) == "pass (ok)"
+        assert hash(v) == hash(Verdict(False, "bad", (0, 1)))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Verdict(True).ok = False
 
 
 class TestRankAxioms:

@@ -5,10 +5,10 @@ import pytest
 from flagtutte.errors import (AxiomViolation, NotConcordant, NotNested,
                               RankBoundTooSmall)
 from flagtutte.matroid import gale_max, matroid_from_matrix, uniform_matroid
-from flagtutte.polyflag import (Flag, enumerate_flags,
-                                flag_check_gale, flag_from_constituents,
-                                flag_from_subspace_flag, is_quotient,
-                                lifted_independent, poly_bases,
+from flagtutte.polyflag import (enumerate_flags, flag_check_gale,
+                                flag_from_constituents,
+                                flag_from_subspace_flag, flag_weight,
+                                is_quotient, lifted_independent, poly_bases,
                                 polymatroid_from_matroid,
                                 polymatroid_from_rank,
                                 polymatroid_from_subspaces,
@@ -115,15 +115,13 @@ class TestQuotients:
 class TestFlagMatroids:
     def test_four_flag_example(self):
         f = four_flag_matroid()
-        flags = enumerate_flags(f)
-        keys = {fl.key() for fl in flags}
-        assert keys == {((0,), (0, 1)), ((0,), (0, 2)),
-                        ((1,), (0, 1)), ((2,), (0, 2))}
+        assert enumerate_flags(f) == [((0,), (0, 1)), ((0,), (0, 2)),
+                                      ((1,), (0, 1)), ((2,), (0, 2))]
 
     def test_single_constituent_flags_are_bases(self):
         m = uniform_matroid(2, 4)
         f = flag_from_constituents([m])
-        assert [fl.key()[0] for fl in enumerate_flags(f)] == list(m.bases)
+        assert enumerate_flags(f) == [(b,) for b in m.bases]
 
     def test_decreasing_ranks_rejected(self):
         with pytest.raises(NotConcordant):
@@ -138,12 +136,12 @@ class TestFlagMatroids:
         assert info.value.witness is not None
 
     def test_flag_vectors(self):
-        f = Flag(3, [(0,), (0, 1)])
-        assert f.e_vector == (2, 1, 0)
+        assert flag_weight(3, (1, 2), ((0,), (0, 1))) == (2, 1, 0)
+        assert flag_weight(3, (1, 1, 2), ((0,), (0, 1))) == (3, 1, 0)
 
     def test_flag_chain_validated(self):
         with pytest.raises(NotNested):
-            Flag(3, [(1,), (0, 2)])
+            flag_check_gale(3, (1, 2), [((1,), (0, 2))])
 
     def test_repeated_ranks_force_equal_constituents(self):
         from flagtutte.matroid import matroid_from_bases
@@ -160,12 +158,12 @@ class TestFlagGale:
         assert flag_check_gale(3, (1, 2), enumerate_flags(f))
 
     def test_bad_family_fails_with_witness(self):
-        flags = [Flag(3, [(0,), (0, 1)]), Flag(3, [(1,), (1, 2)])]
+        flags = [((0,), (0, 1)), ((1,), (1, 2))]
         v = flag_check_gale(3, (1, 2), flags)
         assert not v and v.witness is not None
 
     def test_single_flag_passes(self):
-        assert flag_check_gale(3, (1, 2), [Flag(3, [(0,), (0, 1)])])
+        assert flag_check_gale(3, (1, 2), [((0,), (0, 1))])
 
     def test_all_concordant_fixtures_pass(self, fixtures_n5):
         pairs = [("u13", "u23"), ("u12", "u12"), ("u14", "u24")]
@@ -217,7 +215,9 @@ class TestPolymatroidOfFlag:
         # lattice points of the doubled segment; (1,1) is the tuple ({0},{1})
         assert poly_bases(p) == [(0, 2), (1, 1), (2, 0)]
         flags = enumerate_flags(flag_from_constituents([m, m]))
-        assert sorted(f.e_vector for f in flags) == [(0, 2), (2, 0)]
+        assert flags == [((0,),), ((1,),)]
+        assert sorted(flag_weight(2, (1, 1), f) for f in flags) == [(0, 2),
+                                                                   (2, 0)]
 
     def test_poly_bases_are_polytope_lattice_points(self):
         # cross-module: the basis vectors must be exactly the lattice

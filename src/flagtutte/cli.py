@@ -16,7 +16,7 @@ from . import fileio
 from .invariants import (_from_shifted, characteristic_poly, format_bivar,
                          log_concavity, q_coefficients, tutte_activity,
                          tutte_delcon, tutte_rank_nullity)
-from .ktheory import k_tutte, parse_chain, y_class
+from .ktheory import _k_tutte_and_y, k_tutte, parse_chain, y_class
 from .lattice import (base_polytope, edges, is_normal, lattice_points,
                       poly_base_polytope)
 from .laurent import evaluate_at_one, format_poly
@@ -103,9 +103,9 @@ def cmd_tutte(args):
 
 def cmd_ktutte(args):
     f = fileio.as_flag_matroid(fileio.load_object(args.input))
-    poly = k_tutte(f)
+    poly, y = _k_tutte_and_y(f)
     if args.weights:
-        _weights_guard(y_class(f).values.values(), args.weights)
+        _weights_guard(y.values.values(), args.weights)
     payload = _poly_payload(poly)
     payload["nonnegative_coefficients"] = all(
         c >= 0 for c in poly.terms.values())

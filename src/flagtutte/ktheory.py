@@ -14,12 +14,26 @@ forward to the product of two projective spaces (one fiber sum per target
 point, without building the larger space), then solving triangularly
 against the coordinate-subspace classes produces the bivariate polynomial
 invariant; every division along the way must be exact.
+
+Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
+the ring map t_i -> z^i to the product class before the pull-push.  Every
+character the pushforward, its GKM check and the reduction divide by is
+some e_i - e_j, of degree i - j != 0, and a ring map into the domain
+Z[z^±] keeps each exact quotient exact and unique and commutes with the
+evaluation at 1, so the polynomial is the same.  A class records which
+ring its values live in (:attr:`EquivariantClass.weights`), and each of
+those three stages has one body over the class's map from a pair (i, j)
+to an exponent: e_i - e_j itself, the multivariate oracle, or its degree.
+A GKM or exactness check that runs after the specialization, in Z[z^±],
+is a necessary condition only; the multivariate GKM checks on the
+localization class and on its product with the line bundle are the
+certificate.
 """
 
 import itertools
 
-from .errors import (CheckFailed, InexactDivision, OutOfRange, ParseError,
-                     SpaceMismatch, Verdict)
+from .errors import (BadWeights, CheckFailed, InexactDivision, OutOfRange,
+                     ParseError, SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, _poly_product, binomial_fraction_sum
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
 from .polyflag import enumerate_flags, flag_weight
@@ -192,36 +206,73 @@ class ProjProductSpace:
 
 
 class EquivariantClass:
-    """Map from fixed points to Laurent polynomials; absent means zero."""
+    """Map from fixed points to Laurent polynomials; absent means zero.
 
-    __slots__ = ("space", "values")
+    `weights` is None when the values are Laurent polynomials in the torus
+    characters t_1, ..., t_n, and the vector w when they are their images
+    under t_i -> z^{w_i} (:meth:`specialize`), polynomials in z alone.
+    """
 
-    def __init__(self, space, values):
+    __slots__ = ("space", "values", "weights")
+
+    def __init__(self, space, values, weights=None):
         self.space = space
         self.values = {fp: v for fp, v in values.items() if not v.is_zero()}
+        self.weights = weights
+
+    @property
+    def nvars(self):
+        return self.space.n if self.weights is None else 1
+
+    def char(self, i, j):
+        """The exponent of the character e_i - e_j in the ring of the
+        values: the vector itself, or its degree w_i - w_j."""
+        if self.weights is None:
+            return _char(self.space.n, i, j)
+        return (self.weights[i] - self.weights[j],)
+
+    def specialize(self, weights):
+        """The class, in the torus characters, under the ring map
+        t_i -> z^{w_i}.
+
+        The weights must be distinct, so that no character e_i - e_j
+        becomes trivial (BadWeights otherwise).
+        """
+        if len(weights) != self.space.n or len(set(weights)) != len(weights):
+            raise BadWeights(f"weights {tuple(weights)} are not "
+                             f"{self.space.n} distinct integers")
+        return EquivariantClass(
+            self.space, {fp: v.specialize(weights)
+                         for fp, v in self.values.items()}, tuple(weights))
 
     def value(self, fp):
-        return self.values.get(fp, LaurentPoly.zero(self.space.n))
+        return self.values.get(fp, LaurentPoly.zero(self.nvars))
 
     def __mul__(self, other):
-        if self.space != other.space:
+        if self.space != other.space or self.weights != other.weights:
             raise SpaceMismatch(f"{self.space} vs {other.space}")
         common = set(self.values) & set(other.values)
         return EquivariantClass(
             self.space, {fp: self.values[fp] * other.values[fp]
-                         for fp in common})
+                         for fp in common}, self.weights)
 
     def __eq__(self, other):
         return (isinstance(other, EquivariantClass)
-                and self.space == other.space and self.values == other.values)
+                and self.space == other.space
+                and self.weights == other.weights
+                and self.values == other.values)
 
     def items(self):
         return [(fp, self.value(fp)) for fp in self.space.fixed_points()]
 
     def gkm_verdict(self):
-        """Congruence f(x) = f(y) mod (1 - chi) along every 1-dim orbit."""
+        """Congruence f(x) = f(y) mod (1 - chi) along every 1-dim orbit.
+
+        On a specialized class the congruence is taken in Z[z^±]: a
+        necessary condition for the class it came from, not a proof.
+        """
         for f1, f2, (i, j) in self.space.one_dim_orbits():
-            chi = _char(self.space.n, i, j)
+            chi = self.char(i, j)
             diff = self.value(f1) - self.value(f2)
             if not diff.divisible_by(LaurentPoly.one_minus(chi)):
                 return Verdict(False, "congruence fails",
@@ -289,7 +340,7 @@ def pullback(cls, target_space):
         v = cls.value(sub)
         if not v.is_zero():
             values[chain] = v
-    return EquivariantClass(target_space, values)
+    return EquivariantClass(target_space, values, cls.weights)
 
 
 def _pushforward_value(cls, target_space, point):
@@ -306,21 +357,25 @@ def _pushforward_value(cls, target_space, point):
     elements of H - {a}; each factor is turned to one orientation of its
     pair, so the terms share a small common denominator
     (:func:`flagtutte.laurent.binomial_fraction_sum`).
+
+    Characters are exponents in the ring of the class's values
+    (:meth:`EquivariantClass.char`).  On a specialized class a chart
+    factor is matched by its degree alone, so the check that the target
+    chart cancels is a necessary condition there.
     """
-    space = cls.space
-    n = space.n
+    space, char = cls.space, cls.char
     (a,), hyperplane = point
     inside = set(hyperplane)
     if a not in inside:
-        return LaurentPoly.zero(n)  # empty fiber
-    shared = [_char(n, j, i) for i, j in target_space.chart_pairs(point)]
-    extra = _char(n, target_space.missing(hyperplane), a)
+        return LaurentPoly.zero(cls.nvars)  # empty fiber
+    shared = [char(j, i) for i, j in target_space.chart_pairs(point)]
+    extra = char(target_space.missing(hyperplane), a)
     shared.remove(extra)
     terms = []
     for chain, val in cls.values.items():
         if a not in chain[0] or not inside.issuperset(chain[-1]):
             continue
-        den = [_char(n, j, i) for i, j
+        den = [char(j, i) for i, j
                in space.chart_pairs(((a,),) + chain + (hyperplane,))]
         for chi in shared:
             if chi not in den:
@@ -332,7 +387,7 @@ def _pushforward_value(cls, target_space, point):
             if flipped > chi:  # 1/(1 - t^chi) = -t^-chi / (1 - t^-chi)
                 val, den[k] = -val.shift(flipped), flipped
         terms.append((val, den))
-    return binomial_fraction_sum(n, terms, [extra])
+    return binomial_fraction_sum(cls.nvars, terms, [extra])
 
 
 def pushforward_to_pp(cls):
@@ -343,27 +398,29 @@ def pushforward_to_pp(cls):
     Each target point sums its fiber over what is left of the chart
     denominators once the target chart cancels
     (:func:`_pushforward_value`); the result must be a Laurent polynomial
-    and satisfy GKM, both asserted.
+    and satisfy GKM, both asserted.  The result lives in the ring of the
+    class: a specialized class pushes forward to a specialized class, and
+    its checks run in Z[z^±], as necessary conditions only.
     """
     target = ProjProductSpace(cls.space.n)
     out = EquivariantClass(
         target, {pt: _pushforward_value(cls, target, pt)
-                 for pt in target.fixed_points()})
+                 for pt in target.fixed_points()}, cls.weights)
     out.assert_gkm("pushforward")
     return out
 
 
-def _line_factors(n, a, i):
+def _line_factors(char, a, i):
     """Exponents of the binomials whose product is the structure sheaf of
     {x_0 = ... = x_{a-1} = 0} at the line point i >= a."""
-    return [_char(n, l, i) for l in range(a)]
+    return [char(l, i) for l in range(a)]
 
 
-def _hyperplane_factors(n, b, missing):
+def _hyperplane_factors(char, b, missing):
     """Exponents of the binomials whose product is the structure sheaf of
     {H containing e_0, ..., e_{b-1}} at the hyperplane with the given
     missing index >= b (the dual torus acts with t_m t_l^{-1})."""
-    return [_char(n, missing, l) for l in range(b)]
+    return [char(missing, l) for l in range(b)]
 
 
 def to_nonequivariant(cls):
@@ -373,11 +430,14 @@ def to_nonequivariant(cls):
     each diagonal class is a product of binomials and is divided off one
     factor at a time.  Every division must be exact, otherwise the class is
     not the localization of a genuine equivariant sheaf class
-    (InexactDivision).
+    (InexactDivision).  The solve runs in the ring of the class's values;
+    on a specialized class, where z = 1 stands for t = 1, the quotients are
+    the images of the multivariate ones, and exactness there is a
+    necessary condition only.
     """
     if not isinstance(cls.space, ProjProductSpace):
         raise SpaceMismatch("reduction is defined on the product space")
-    n = cls.space.n
+    n, nvars, char = cls.space.n, cls.nvars, cls.char
     coeffs = {}
     for i in range(n):
         for m in range(n):
@@ -386,14 +446,27 @@ def to_nonequivariant(cls):
             for (a, b), cab in sorted(coeffs.items()):
                 if a <= i and b <= m:
                     rhs = rhs - cab * _poly_product(
-                        n, _line_factors(n, a, i)
-                        + _hyperplane_factors(n, b, m))
-            for chi in _line_factors(n, i, i) + _hyperplane_factors(n, m, m):
+                        nvars, _line_factors(char, a, i)
+                        + _hyperplane_factors(char, b, m))
+            for chi in (_line_factors(char, i, i)
+                        + _hyperplane_factors(char, m, m)):
                 rhs = rhs.exact_divide(LaurentPoly.one_minus(chi))
             if not rhs.is_zero():
                 coeffs[(i, m)] = rhs
     return LaurentPoly(2, {(b, a): c.subs_one()
                            for (a, b), c in coeffs.items()})
+
+
+def _k_tutte_and_y(flag_matroid):
+    """:func:`k_tutte` of the flag matroid, and its :func:`y_class`."""
+    n = flag_matroid.n
+    if n < 2:
+        raise OutOfRange("the construction needs n >= 2")
+    y = y_class(flag_matroid)
+    cls = y * o1_class(FlagSpace(n, flag_matroid.ranks))
+    cls.assert_gkm("product with the line bundle")
+    pushed = pushforward_to_pp(cls.specialize(tuple(range(n))))
+    return to_nonequivariant(pushed), y
 
 
 def k_tutte(flag_matroid):
@@ -406,10 +479,12 @@ def k_tutte(flag_matroid):
     each 1-dim orbit of Fl(1, k, n-1) projects to one point, where the
     difference is zero, or onto an orbit of Fl(k) with the same character,
     whose congruence the product's check covers.
+
+    The localization class and the product are built and GKM-checked in
+    the torus characters; that check is the certificate.  The product is
+    then specialized along t_i -> z^i, and the pull-push and the reduction
+    run on polynomials in z alone, with the same result: every character
+    they divide by has degree i - j != 0, so each exact quotient maps to
+    the exact quotient in Z[z^±].
     """
-    n = flag_matroid.n
-    if n < 2:
-        raise OutOfRange("the construction needs n >= 2")
-    cls = y_class(flag_matroid) * o1_class(FlagSpace(n, flag_matroid.ranks))
-    cls.assert_gkm("product with the line bundle")
-    return to_nonequivariant(pushforward_to_pp(cls))
+    return _k_tutte_and_y(flag_matroid)[0]

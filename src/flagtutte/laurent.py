@@ -9,7 +9,9 @@ happen factor by factor and stay exact; dividing by one binomial is a
 running sum along the lines of its direction.  A sum of such fractions
 that must come out a Laurent polynomial, as the vertex-cone numerators and
 the pushforward fibers do, is taken over one common denominator whose
-factors are divided off at the end (:func:`binomial_fraction_sum`).
+factors are divided off at the end (:func:`binomial_fraction_sum`).  A
+ring map t_i -> z^{w_i} (:meth:`LaurentPoly.specialize`) takes a
+polynomial to one variable, where the same arithmetic runs on 1-tuples.
 """
 
 import operator
@@ -136,6 +138,17 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def specialize(self, weights):
+        """The image under the ring map t_i -> z^{w_i}, a polynomial in z."""
+        if len(weights) != self.nvars:
+            raise DimensionMismatch(
+                f"need {self.nvars} weights, got {len(weights)}")
+        uni = {}
+        for e, c in self.terms.items():
+            d = sum(map(operator.mul, e, weights))
+            uni[d] = uni.get(d, 0) + c
+        return LaurentPoly(1, {(d,): c for d, c in uni.items()})
 
     def shift(self, exp):
         """Multiply by the monomial t^exp."""
@@ -440,15 +453,7 @@ def evaluate_at_one(f, weights):
     dots = [sum(a_i * w_i for a_i, w_i in zip(a, weights)) for a in f.den]
     if any(d == 0 for d in dots):
         raise BadWeights(f"weights {tuple(weights)} kill a denominator factor")
-    # numerator as a univariate Laurent polynomial in z
-    uni = {}
-    for e, c in f.num.terms.items():
-        d = sum(x * w for x, w in zip(e, weights))
-        v = uni.get(d, 0) + c
-        if v:
-            uni[d] = v
-        else:
-            del uni[d]
+    uni = {d: c for (d,), c in f.num.specialize(weights).terms.items()}
     order = len(dots)
     if not uni:
         return 0

@@ -16,7 +16,7 @@ from .errors import (AxiomViolation, MismatchedGroundSets, NotConcordant,
                      NotNested, OutOfRange, RankBoundTooSmall, Verdict)
 from . import linalg
 from .matroid import (Matroid, _mask, _positions, check_ordering,
-                      check_rank_axioms, gale_leq, matroid_from_matrix)
+                      check_rank_axioms, gale_key, matroid_from_matrix)
 
 
 class Polymatroid:
@@ -255,9 +255,11 @@ def flag_check_gale(n, ranks, flags):
             return Verdict(False, "flag has wrong rank tuple", witness=chain)
     for order in itertools.permutations(range(n)):
         pos = _positions(order)
-        maximal = [cand for cand in flags
-                   if all(gale_leq(s, t, pos) for other in flags
-                          for s, t in zip(other, cand))]
+        keys = [[gale_key(part, pos) for part in chain] for chain in flags]
+        maximal = [cand for cand, cand_keys in zip(flags, keys)
+                   if all(x <= y for other in keys
+                          for k, cand_k in zip(other, cand_keys)
+                          for x, y in zip(k, cand_k))]
         if len(maximal) != 1:
             return Verdict(False,
                            f"{len(maximal)} Gale-maximal flags", witness=order)

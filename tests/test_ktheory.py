@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagtutte.errors import (CheckFailed, InexactDivision, OutOfRange,
-                              SpaceMismatch)
+from flagtutte.errors import (BadWeights, CheckFailed, InexactDivision,
+                              OutOfRange, SpaceMismatch)
 from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.invariants import (characteristic_poly, log_concavity,
                                   tutte_rank_nullity)
@@ -13,7 +13,7 @@ from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
                                parse_chain, pullback, pushforward_to_pp,
                                to_nonequivariant, y_class)
 from flagtutte.laurent import KRational, LaurentPoly
-from flagtutte.matroid import uniform_matroid
+from flagtutte.matroid import matroid_from_matrix, uniform_matroid
 from flagtutte.polyflag import (flag_from_constituents,
                                 flag_from_subspace_flag)
 
@@ -69,6 +69,34 @@ def full_denominator_value(space, cls, target, point):
         total = total * LaurentPoly.one_minus(
             tuple(x - y for x, y in zip(unit(n, j), unit(n, i))))
     return total.as_laurent()
+
+
+def subspace_flags(max_n):
+    """Flag matroids of the row spans of random prefixes of an integer
+    (n-1) x n matrix, 3 <= n <= max_n."""
+    def build(case):
+        rows, prefixes = case
+        try:
+            return flag_from_subspace_flag(
+                [rows[:k] for k in sorted(prefixes)])
+        except OutOfRange:  # a prefix of zero rows spans nothing
+            assume(False)
+    return st.integers(3, max_n).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=n - 1, max_size=n - 1),
+        st.sets(st.integers(1, n - 1), min_size=1))).map(build)
+
+
+def matrix_flags(max_n):
+    """Single-constituent flags of the column matroids of random integer
+    matrices with fewer rows than columns, 3 <= n <= max_n."""
+    def build(rows):
+        m = matroid_from_matrix(rows)
+        assume(m.k >= 1)
+        return flag_from_constituents([m])
+    return st.integers(3, max_n).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        min_size=1, max_size=n - 1)).map(build)
 
 
 EXAMPLE_TUTTE = LaurentPoly(2, {(2, 2): 1, (2, 1): 1, (1, 2): 1, (2, 0): 1,
@@ -255,21 +283,31 @@ class TestPushforward:
         assert nonzero > flag.n
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(3, 5).flatmap(lambda n: st.tuples(
-        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                 min_size=n - 1, max_size=n - 1),
-        st.sets(st.integers(1, n - 1), min_size=1))))
-    def test_coarse_class_pushes_like_its_pullback(self, case):
-        rows, prefixes = case
-        try:
-            flag = flag_from_subspace_flag(
-                [rows[:k] for k in sorted(prefixes)])
-        except OutOfRange:  # a prefix of zero rows spans nothing
-            assume(False)
+    @given(subspace_flags(5))
+    def test_coarse_class_pushes_like_its_pullback(self, flag):
         n = flag.n
         cls = coarse_class(flag)
         big = FlagSpace(n, (1,) + flag.ranks + (n - 1,))
         assert pushforward_to_pp(cls) == pushforward_to_pp(pullback(cls, big))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(matrix_flags(6), subspace_flags(5)))
+    def test_specialized_pull_push_is_the_image_of_the_multivariate(
+            self, flag):
+        n = flag.n
+        w = tuple(range(n))
+        cls = coarse_class(flag)
+        multi = pushforward_to_pp(cls)
+        uni = pushforward_to_pp(cls.specialize(w))
+        assert uni.weights == w
+        for point in multi.space.fixed_points():
+            assert uni.value(point) == multi.value(point).specialize(w), point
+        assert to_nonequivariant(uni) == to_nonequivariant(multi)
+
+    def test_specializing_needs_distinct_weights(self):
+        cls = coarse_class(four_flag_matroid())
+        with pytest.raises(BadWeights):
+            cls.specialize((0, 1, 1))
 
     def test_fiber_chart_without_a_target_factor_fails(self, monkeypatch):
         cls = lifted_class(fixture_flag("flag_u23_5"))
@@ -398,6 +436,11 @@ class TestPappus:
         cls = y_class(fixture_flag("pappus8_matrix"))
         assert len(cls.values) == 49
         assert cls.gkm_verdict()
+
+    def test_k_tutte_of_pappus8_matrix_is_its_tutte_polynomial(self):
+        flag = fixture_flag("pappus8_matrix")
+        (m,) = flag.constituents
+        assert k_tutte(flag) == tutte_rank_nullity(m)
 
 
 class TestLongerFlags:

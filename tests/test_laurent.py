@@ -51,6 +51,20 @@ class TestRingOps:
         p = LaurentPoly.one_minus((1,))
         assert p ** 3 == LaurentPoly(1, {(0,): 1, (1,): -3, (2,): 3, (3,): -1})
 
+    def test_specialize_is_a_ring_map(self):
+        rng = random.Random(13)
+        w = (0, 1, 2)
+        for _ in range(25):
+            a, b = rand_poly(rng, 3, 5), rand_poly(rng, 3, 5)
+            assert (a * b).specialize(w) == a.specialize(w) * b.specialize(w)
+            assert (a + b).specialize(w) == a.specialize(w) + b.specialize(w)
+            assert a.specialize(w).subs_one() == a.subs_one()
+        # t1*t3 and t2^2 meet at z^2 and cancel
+        p = LaurentPoly(3, {(1, 0, 1): 1, (0, 2, 0): -1, (0, 0, 0): 4})
+        assert p.specialize((0, 1, 2)) == LaurentPoly(1, {(0,): 4})
+        with pytest.raises(DimensionMismatch):
+            p.specialize((0, 1))
+
     def test_no_zero_coefficients_stored(self):
         p = LaurentPoly(2, {(0, 0): 1}) - LaurentPoly.one(2)
         assert p.terms == {}

@@ -156,12 +156,12 @@ def cmd_yclass(args):
     if args.weights:
         _weights_guard(cls.values.values(), args.weights)
     items = cls.items()
-    if args.fixed_point:
+    if args.fixed_point is not None:
         wanted = parse_chain(args.fixed_point)
         items = [(fp, v) for fp, v in items if fp == wanted]
         if not items:
             raise FlagTutteError(
-                f"{args.fixed_point} is not a fixed point of the space")
+                f"{args.fixed_point!r} is not a fixed point of the space")
     payload = [{"fixed_point": "|".join("".join(map(str, part))
                                         for part in fp),
                 "value": fileio.laurent_to_json(v),

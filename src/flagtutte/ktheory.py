@@ -16,17 +16,17 @@ against the coordinate-subspace classes produces the bivariate polynomial
 invariant; every division along the way must be exact.
 
 Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
-the ring map t_i -> z^i to the product class before the pull-push.  Every
-character the pushforward, its GKM check and the reduction divide by is
-some e_i - e_j, of degree i - j != 0, and a ring map into the domain
-Z[z^±] keeps each exact quotient exact and unique and commutes with the
-evaluation at 1, so the polynomial is the same.  A class records which
-ring its values live in (:attr:`EquivariantClass.weights`), and each of
-those three stages has one body over the class's map from a pair (i, j)
-to an exponent: e_i - e_j itself, the multivariate oracle, or its degree.
-A GKM or exactness check that runs after the specialization, in Z[z^±],
-is a necessary condition only; the multivariate GKM checks on the
-localization class and on its product with the line bundle are the
+the ring map t_i -> z^i to the localization class and to the line bundle,
+whose product in Z[z^±] is the image of theirs.  Every character the
+pushforward, its GKM check and the reduction divide by is some e_i - e_j,
+of degree i - j != 0, and a ring map into the domain Z[z^±] keeps each
+exact quotient exact and unique and commutes with the evaluation at 1, so
+the polynomial is the same.  A class records which ring its values live in
+(:attr:`EquivariantClass.weights`), and each of those three stages has one
+body over the class's map from a pair (i, j) to an exponent: e_i - e_j
+itself, the multivariate oracle, or its degree.  A GKM or exactness check
+that runs after the specialization, in Z[z^±], is a necessary condition
+only; the multivariate GKM check on the localization class is the
 certificate.
 """
 
@@ -463,10 +463,9 @@ def _k_tutte_and_y(flag_matroid):
     if n < 2:
         raise OutOfRange("the construction needs n >= 2")
     y = y_class(flag_matroid)
-    cls = y * o1_class(FlagSpace(n, flag_matroid.ranks))
-    cls.assert_gkm("product with the line bundle")
-    pushed = pushforward_to_pp(cls.specialize(tuple(range(n))))
-    return to_nonequivariant(pushed), y
+    weights = tuple(range(n))
+    cls = y.specialize(weights) * o1_class(y.space).specialize(weights)
+    return to_nonequivariant(pushforward_to_pp(cls)), y
 
 
 def k_tutte(flag_matroid):
@@ -475,16 +474,15 @@ def k_tutte(flag_matroid):
     Pipeline: localization class, product with the line-bundle weight,
     pull-push to the line-hyperplane product through ranks (1, k, n-1),
     triangular reduction.  Exponents stay below n in each variable by
-    construction.  The pulled-back class needs no GKM check of its own:
-    each 1-dim orbit of Fl(1, k, n-1) projects to one point, where the
-    difference is zero, or onto an orbit of Fl(k) with the same character,
-    whose congruence the product's check covers.
-
-    The localization class and the product are built and GKM-checked in
-    the torus characters; that check is the certificate.  The product is
-    then specialized along t_i -> z^i, and the pull-push and the reduction
-    run on polynomials in z alone, with the same result: every character
-    they divide by has degree i - j != 0, so each exact quotient maps to
-    the exact quotient in Z[z^±].
+    construction.  The localization class y is GKM-checked in the torus
+    characters, and that check is the certificate.  The product needs no
+    check of its own: along an orbit with character chi, the exponents of
+    O(1) at its ends differ by a multiple of chi, so the product's
+    congruence is y's times a unit t^{e_F}.  Nor does the pulled-back
+    class: each 1-dim orbit of Fl(1, k, n-1) projects to one point, where
+    the difference is zero, or onto an orbit of Fl(k) with the same
+    character.  Then y and O(1) are specialized along t_i -> z^i, and the
+    product, the pull-push and the reduction run in Z[z^±], with the same
+    result, as the module docstring shows.
     """
     return _k_tutte_and_y(flag_matroid)[0]

@@ -8,8 +8,8 @@ the greedy rule of :mod:`flagtutte.polyflag` (or, on a flag polytope, from
 the weights of its basis flags), and lattice points from one
 walk over the table that fixes a coordinate per level and closes the last
 two by an interval; the same walk lists the points or only counts them.
-Polytopes given only by vertices (test counterexamples, slices) fall back
-to exact convex-hull membership.
+Polytopes given only by vertices (test counterexamples) fall back to exact
+convex-hull membership.
 
 The cone of a generalized permutohedron at a vertex is spanned by its edges
 there, each parallel to some e_i - e_j.  Edges come from one tight-set

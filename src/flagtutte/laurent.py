@@ -5,17 +5,19 @@ a :class:`LaurentPoly` maps exponent vectors to nonzero integer
 coefficients.  A :class:`KRational` keeps its denominator as a multiset of
 exponent vectors, each standing for a binomial factor (1 - t^a) — the only
 denominators the localization formulas ever produce — so cancellation can
-happen factor by factor and stay exact; dividing by one binomial is a
-running sum along the lines of its direction.  A sum of such fractions
-that must come out a Laurent polynomial, as the vertex-cone numerators and
-the pushforward fibers do, is taken over one common denominator whose
-factors are divided off at the end (:func:`binomial_fraction_sum`).  A
-ring map t_i -> z^{w_i} (:meth:`LaurentPoly.specialize`) takes a
-polynomial to one variable, where the same arithmetic runs on 1-tuples.
+happen factor by factor and stay exact; dividing by one binomial 1 - t^a
+is a running sum along the lines r + Z*a, exact iff every line sums to
+zero.  A sum of such fractions that must come out a Laurent polynomial, as
+the vertex-cone numerators and the pushforward fibers do, is taken over
+one common denominator whose factors are divided off at the end
+(:func:`binomial_fraction_sum`).  A ring map t_i -> z^{w_i}
+(:meth:`LaurentPoly.specialize`) takes a polynomial to one variable, where
+the same arithmetic runs on 1-tuples.
 """
 
 import operator
 from fractions import Fraction
+from math import prod
 
 from .errors import (BadWeights, CheckFailed, DimensionMismatch,
                      InexactDivision, PoleAtOne)
@@ -185,6 +187,19 @@ class LaurentPoly:
                 return self._line_sum_divide(_vsub(e, b), c, b)
         return self._lex_divide(q)
 
+    def _lines(self, a):
+        """The support [(i, a_i)] of a != 0, and self's terms grouped by
+        the lines r + Z*a: {r: [(k, c), ...]} for the terms c*t^(r + k*a),
+        with k = e_i // a_i at the first i of the support."""
+        support = [(i, x) for i, x in enumerate(a) if x]
+        pivot, step = support[0]
+        lines = {}
+        for e, coeff in self.terms.items():
+            k = e[pivot] // step
+            base = _along(e, support, -k) if k else e
+            lines.setdefault(base, []).append((k, coeff))
+        return support, lines
+
     def _line_sum_divide(self, a, c, b):
         """self / (c * t^b * (1 - t^a)) by running sums along lines.
 
@@ -194,13 +209,7 @@ class LaurentPoly:
         is exact iff every line sums to zero and c divides every partial
         sum; the first line that fails raises InexactDivision.
         """
-        support = [(i, x) for i, x in enumerate(a) if x]
-        pivot, step = support[0]
-        lines = {}
-        for e, coeff in self.terms.items():
-            k = e[pivot] // step
-            base = _along(e, support, -k) if k else e
-            lines.setdefault(base, []).append((k, coeff))
+        support, lines = self._lines(a)
         quot = {}
         for base, line in lines.items():
             line.sort()
@@ -252,11 +261,15 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, quot)
 
     def divisible_by(self, q):
-        try:
-            self.exact_divide(q)
-            return True
-        except InexactDivision:
-            return False
+        """Whether q = 1 - t^a divides self: iff every line r + Z*a of self
+        sums to zero, as 1 - u divides a polynomial in u = t^a iff it
+        vanishes at u = 1.  Builds no quotient; ValueError for another q."""
+        self._check(q)
+        a = next((e for e in q.terms if any(e)), None)
+        if a is None or q != LaurentPoly.one_minus(a):
+            raise ValueError(f"{q!r} is not a binomial 1 - t^a")
+        return all(sum(c for _, c in line) == 0
+                   for line in self._lines(a)[1].values())
 
     def __repr__(self):
         return f"LaurentPoly({self.nvars}, {format_poly(self)})"
@@ -440,35 +453,23 @@ def binomial_fraction_sum(nvars, terms, times=()):
 def evaluate_at_one(f, weights):
     """Evaluate at t_i -> 1 through the one-parameter subgroup t_i = z^{w_i}.
 
-    Substitutes, cancels the common (1 - z) order between numerator and
-    denominator, and evaluates at z = 1.  Raises BadWeights when a
-    denominator factor collapses to zero identically and PoleAtOne when the
-    numerator vanishes to lower order than the denominator.
+    Substitutes, divides the numerator by (1 - z) once for each
+    denominator factor, and evaluates at z = 1, where each factor
+    (1 - z^d) / (1 - z) is d.  Raises BadWeights when a denominator factor
+    collapses to zero identically and PoleAtOne when the numerator vanishes
+    to lower order than the denominator, that is, when a division by
+    (1 - z) is not exact.
     """
     if isinstance(f, LaurentPoly):
         f = KRational.from_poly(f)
-    n = f.nvars
-    if len(weights) != n:
-        raise DimensionMismatch(f"need {n} weights, got {len(weights)}")
+    num = f.num.specialize(weights)  # DimensionMismatch on a wrong length
     dots = [sum(a_i * w_i for a_i, w_i in zip(a, weights)) for a in f.den]
-    if any(d == 0 for d in dots):
+    if 0 in dots:
         raise BadWeights(f"weights {tuple(weights)} kill a denominator factor")
-    uni = {d: c for (d,), c in f.num.specialize(weights).terms.items()}
-    order = len(dots)
-    if not uni:
-        return 0
-    lo, hi = min(uni), max(uni)
-    coeffs = [uni.get(d, 0) for d in range(lo, hi + 1)]
-    for k in range(order):
-        if sum(coeffs) != 0:
-            raise PoleAtOne(k, order)
-        # divide by (1 - z): running-sum synthetic division
-        run, new = 0, []
-        for c in coeffs[:-1]:
-            run += c
-            new.append(run)
-        coeffs = new or [0]
-    value = Fraction(sum(coeffs))
-    for d in dots:
-        value /= d  # each factor (1 - z^d) = (1 - z) * g with g(1) = d
+    for k in range(len(dots)):
+        try:
+            num = num.exact_divide(LaurentPoly.one_minus((1,)))
+        except InexactDivision:
+            raise PoleAtOne(k, len(dots)) from None
+    value = Fraction(num.subs_one(), prod(dots))
     return int(value) if value.denominator == 1 else value

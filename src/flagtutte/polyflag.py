@@ -58,8 +58,8 @@ class Polymatroid:
 
 def polymatroid_from_rank(n, table):
     """Validate R2, R3 and r(empty)=0, then build the polymatroid."""
-    if n < 0:
-        raise OutOfRange(f"ground set size {n} < 0")
+    if n < 1:
+        raise OutOfRange(f"ground set size {n} < 1")
     verdict = check_rank_axioms(tuple(table), n, polymatroid=True)
     if not verdict:
         raise AxiomViolation(verdict.reason.split(":")[0], verdict.witness,

@@ -6,6 +6,7 @@ import pytest
 from flagtutte.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+EMPTY_POLYMATROID = {"type": "polymatroid", "n": 0, "rank": [0]}
 
 
 def run(capsys, *argv):
@@ -170,6 +171,12 @@ class TestYclass:
                              "--fixed-point=2|01")
         assert code == 1
 
+    def test_empty_fixed_point_is_not_ignored(self, capsys):
+        code, doc = run_json(capsys, "yclass", FIXTURES / "flag_rank12.json",
+                             "--fixed-point=")
+        assert code == 1 and doc["error"] == "FlagTutteError"
+        assert doc["detail"] == "'' is not a fixed point of the space"
+
 
 class TestQuotientUnion:
     def test_pappus_quotient_pair(self, capsys):
@@ -212,6 +219,8 @@ class TestBadInput:
         ("union", {"type": "matroid_list", "matroids": []}, [],
          "FlagTutteError"),
         ("yclass", None, ["--fixed-point=x|y"], "ParseError"),
+        ("qprime", EMPTY_POLYMATROID, [], "OutOfRange"),
+        ("polytope", EMPTY_POLYMATROID, [], "OutOfRange"),
     ])
     def test_exits_one_with_report(self, capsys, tmp_path, verb, doc, extra,
                                    error):

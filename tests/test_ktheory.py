@@ -1,3 +1,4 @@
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
                                _pushforward_value, k_tutte, o1_class,
                                parse_chain, pullback, pushforward_to_pp,
                                to_nonequivariant, y_class)
-from flagtutte.laurent import KRational, LaurentPoly
+from flagtutte.laurent import KRational, LaurentPoly, _poly_product
 from flagtutte.matroid import matroid_from_matrix, uniform_matroid
 from flagtutte.polyflag import (flag_from_constituents,
                                 flag_from_subspace_flag)
@@ -200,7 +201,54 @@ class TestO1:
         assert o1_class(space).value(((0,), (0, 1))) == mono(3, 1, 0, 0)
 
 
+@lru_cache(maxsize=None)
+def fixture_y(name):
+    if name == "four_flag":
+        return y_class(four_flag_matroid())
+    return y_class(fixture_flag(name))
+
+
+def small_polys(n):
+    return st.dictionaries(st.tuples(*[st.integers(-1, 1)] * n),
+                           st.integers(-2, 2), max_size=3).map(
+        lambda terms: LaurentPoly(n, terms))
+
+
+@st.composite
+def perturbed_y(draw):
+    """A class a*y + g + sum of point classes + a constant bump at one
+    point, for constant classes a and g.  A point class is h times the
+    whole chart product at its point, so every term but the bump
+    satisfies GKM, and the bump k breaks it iff k != 0: along each orbit
+    through its point the difference changes by the constant k, a single
+    line that sums to k."""
+    y = fixture_y(draw(st.sampled_from(
+        ["four_flag", "flag_rank12", "flag_u23_5"])))
+    space, n = y.space, y.space.n
+    points = space.fixed_points()
+    a, g = draw(small_polys(n)), draw(small_polys(n))
+    values = {fp: y.value(fp) * a + g for fp in points}
+    for fp in draw(st.lists(st.sampled_from(points), max_size=2)):
+        chart = _poly_product(n, space.chart_characters(fp))
+        values[fp] = values[fp] + draw(small_polys(n)) * chart
+    bump = draw(st.integers(-2, 2))
+    at = draw(st.sampled_from(points))
+    values[at] = values[at] + LaurentPoly.one(n) * bump
+    return EquivariantClass(space, values), bump
+
+
 class TestMultiplyPullback:
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_y())
+    def test_line_bundle_keeps_the_gkm_verdict(self, case):
+        # O(1) restricts to t^{e_F}, and along an orbit with character chi
+        # the exponents differ by a multiple of chi, so the product's
+        # congruences are the class's times a unit: k_tutte checks y only
+        cls, bump = case
+        verdict = bool(cls.gkm_verdict())
+        assert verdict == (bump == 0)
+        assert bool((cls * o1_class(cls.space)).gkm_verdict()) == verdict
+
     def test_figure_product_value(self):
         f = four_flag_matroid()
         space = FlagSpace(3, (1, 2))

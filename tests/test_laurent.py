@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagtutte.errors import (BadWeights, DimensionMismatch, InexactDivision,
                               PoleAtOne)
@@ -152,6 +152,34 @@ class TestBinomialDivide:
         den = LaurentPoly.one_minus(a).shift(b) * c
         fast, lex = divide_both_ways(p * den + extra, den)
         assert fast == lex
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        laurent_polys(n), laurent_polys(n),
+        st.tuples(*[st.integers(-3, 3)] * n).filter(any))),
+        st.booleans())
+    @example((LaurentPoly(2, {(0, 0): 1, (1, 0): 2}), LaurentPoly.zero(2),
+              (2, 0)), True)
+    @example((LaurentPoly(3, {(0, 1, 0): 1, (1, 0, -1): -3}),
+              LaurentPoly(3, {(0, 0, 0): 1}), (0, -3, 1)), True)
+    @example((LaurentPoly(3, {(0, 1, 0): 1, (1, 0, -1): -3}),
+              LaurentPoly.zero(3), (0, -3, 1)), False)
+    def test_divisible_by_agrees_with_lex(self, case, multiple):
+        # line sums decide divisibility by 1 - t^a, also for directions
+        # that are not primitive, such as (2, 0) or (0, -3, 1)
+        p, extra, a = case
+        den = LaurentPoly.one_minus(a)
+        num = (p * den if multiple else p) + extra
+        assert num.divisible_by(den) == \
+            (divide_both_ways(num, den)[1] is not None)
+
+    def test_divisible_by_takes_only_one_minus_a_monomial(self):
+        p = LaurentPoly.one(2)
+        for q in (LaurentPoly.one_minus((1, 0)) * 2,
+                  LaurentPoly.one_minus((1, 0)).shift((0, 1)),
+                  LaurentPoly.one_minus((0, 0)), LaurentPoly.one(2)):
+            with pytest.raises(ValueError):
+                p.divisible_by(q)
 
     def test_running_sum_fills_gaps(self):
         # (1 - t^3) / (1 - t) = 1 + t + t^2: one line, quotient wider

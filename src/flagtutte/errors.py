@@ -118,10 +118,6 @@ class BadWeights(FlagTutteError):
     pass
 
 
-class EvaluationMismatch(FlagTutteError):
-    pass
-
-
 class SpaceMismatch(FlagTutteError):
     pass
 

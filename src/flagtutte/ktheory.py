@@ -12,16 +12,17 @@ denominator at them.  Multiplying by the Segre-Veronese line-bundle weight
 t^{e_F}, pulling back to the space with ranks (1, k, n-1) and pushing
 forward to the product of two projective spaces (one fiber sum per target
 point, without building the larger space), then solving triangularly
-against the coordinate-subspace classes produces the bivariate polynomial
-invariant; every division along the way must be exact.
+against the coordinate-subspace classes, one factor at a time, produces the
+bivariate polynomial invariant; every division along the way must be exact.
 
 Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
-the ring map t_i -> z^i to the localization class and to the line bundle,
-whose product in Z[z^±] is the image of theirs.  Every character the
-pushforward, its GKM check and the reduction divide by is some e_i - e_j,
-of degree i - j != 0, and a ring map into the domain Z[z^±] keeps each
-exact quotient exact and unique and commutes with the evaluation at 1, so
-the polynomial is the same.  A class records which ring its values live in
+the ring map t_i -> z^{w_i}, for n distinct integers w_i, to the
+localization class and to the line bundle, whose product in Z[z^±] is the
+image of theirs.  Every character the pushforward, its GKM check and the
+reduction divide by is some e_i - e_j, of degree w_i - w_j != 0, and a
+ring map into the domain Z[z^±] keeps each exact quotient exact and unique
+and commutes with the evaluation at 1, so the polynomial is the same.  A
+class records which ring its values live in
 (:attr:`EquivariantClass.weights`), and each of those three stages has one
 body over the class's map from a pair (i, j) to an exponent: e_i - e_j
 itself, the multivariate oracle, or its degree.  A GKM or exactness check
@@ -34,7 +35,7 @@ import itertools
 
 from .errors import (BadWeights, CheckFailed, InexactDivision, OutOfRange,
                      ParseError, SpaceMismatch, Verdict)
-from .laurent import LaurentPoly, _poly_product, binomial_fraction_sum
+from .laurent import LaurentPoly, binomial_fraction_sum
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
 from .polyflag import enumerate_flags, flag_weight
 
@@ -410,65 +411,54 @@ def pushforward_to_pp(cls):
     return out
 
 
-def _line_factors(char, a, i):
-    """Exponents of the binomials whose product is the structure sheaf of
-    {x_0 = ... = x_{a-1} = 0} at the line point i >= a."""
-    return [char(l, i) for l in range(a)]
+def _solve_along(values, factor):
+    """Coefficients x_0, ..., x_{n-1} with
+    values[i] = sum_{a <= i} x_a prod_{l < a} (1 - t^factor(l, i)).
 
-
-def _hyperplane_factors(char, b, missing):
-    """Exponents of the binomials whose product is the structure sheaf of
-    {H containing e_0, ..., e_{b-1}} at the hyperplane with the given
-    missing index >= b (the dual torus acts with t_m t_l^{-1})."""
-    return [char(missing, l) for l in range(b)]
+    Terms a > i vanish, as their product holds 1 - t^factor(i, i) = 0.  In
+    Newton's form values[i] = x_0 + (1 - t^factor(0, i)) (x_1 + ...), so
+    x_i is values[i] with each earlier x_a subtracted and the diagonal
+    binomial 1 - t^factor(a, i) divided off in turn, exactly
+    (InexactDivision otherwise); no basis product is built.
+    """
+    out = []
+    for i, v in enumerate(values):
+        for a, x in enumerate(out):
+            v = (v - x).exact_divide(LaurentPoly.one_minus(factor(a, i)))
+        out.append(v)
+    return out
 
 
 def to_nonequivariant(cls):
     """Solve against the coordinate-subspace basis and evaluate at t = 1.
 
-    Ascending triangular back-substitution in (line index, missing index);
-    each diagonal class is a product of binomials and is divided off one
-    factor at a time.  Every division must be exact, otherwise the class is
-    not the localization of a genuine equivariant sheaf class
-    (InexactDivision).  The solve runs in the ring of the class's values;
-    on a specialized class, where z = 1 stands for t = 1, the quotients are
-    the images of the multivariate ones, and exactness there is a
-    necessary condition only.
+    At the point (i, H missing m) the basis class (a, b) restricts to the
+    product of 1 - t^(e_l - e_i), l < a, from {x_0 = ... = x_{a-1} = 0},
+    and of 1 - t^(e_m - e_l), l < b, from {H containing e_0, ..., e_{b-1}}
+    (the dual torus acts with t_m t_l^{-1}).  It is a product basis, so
+    :func:`_solve_along` runs along the line index for each hyperplane,
+    then along the hyperplane index.  Every division must be exact,
+    otherwise the class is not the localization of a genuine equivariant
+    sheaf class (InexactDivision).  The solve runs in the ring of the
+    class's values; on a specialized class, where z = 1 stands for t = 1,
+    the quotients are the images of the multivariate ones, and exactness
+    there is a necessary condition only.
     """
     if not isinstance(cls.space, ProjProductSpace):
         raise SpaceMismatch("reduction is defined on the product space")
-    n, nvars, char = cls.space.n, cls.nvars, cls.char
-    coeffs = {}
-    for i in range(n):
-        for m in range(n):
-            hyperplane = tuple(x for x in range(n) if x != m)
-            rhs = cls.value(((i,), hyperplane))
-            for (a, b), cab in sorted(coeffs.items()):
-                if a <= i and b <= m:
-                    rhs = rhs - cab * _poly_product(
-                        nvars, _line_factors(char, a, i)
-                        + _hyperplane_factors(char, b, m))
-            for chi in (_line_factors(char, i, i)
-                        + _hyperplane_factors(char, m, m)):
-                rhs = rhs.exact_divide(LaurentPoly.one_minus(chi))
-            if not rhs.is_zero():
-                coeffs[(i, m)] = rhs
-    return LaurentPoly(2, {(b, a): c.subs_one()
-                           for (a, b), c in coeffs.items()})
+    n, char = cls.space.n, cls.char
+    hyperplanes = [tuple(x for x in range(n) if x != m) for m in range(n)]
+    rows = [_solve_along([cls.value(((i,), h)) for i in range(n)], char)
+            for h in hyperplanes]
+    out = {}
+    for a in range(n):
+        column = _solve_along([row[a] for row in rows],
+                              lambda l, m: char(m, l))
+        out.update(((b, a), c.subs_one()) for b, c in enumerate(column))
+    return LaurentPoly(2, out)
 
 
-def _k_tutte_and_y(flag_matroid):
-    """:func:`k_tutte` of the flag matroid, and its :func:`y_class`."""
-    n = flag_matroid.n
-    if n < 2:
-        raise OutOfRange("the construction needs n >= 2")
-    y = y_class(flag_matroid)
-    weights = tuple(range(n))
-    cls = y.specialize(weights) * o1_class(y.space).specialize(weights)
-    return to_nonequivariant(pushforward_to_pp(cls)), y
-
-
-def k_tutte(flag_matroid):
+def k_tutte(flag_matroid, weights=None):
     """Bivariate polynomial invariant of a flag matroid via localization.
 
     Pipeline: localization class, product with the line-bundle weight,
@@ -481,8 +471,16 @@ def k_tutte(flag_matroid):
     congruence is y's times a unit t^{e_F}.  Nor does the pulled-back
     class: each 1-dim orbit of Fl(1, k, n-1) projects to one point, where
     the difference is zero, or onto an orbit of Fl(k) with the same
-    character.  Then y and O(1) are specialized along t_i -> z^i, and the
-    product, the pull-push and the reduction run in Z[z^±], with the same
-    result, as the module docstring shows.
+    character.  Then y and O(1) are specialized along t_i -> z^{w_i}, w
+    the given weights or 0, ..., n-1 (BadWeights, before any cone is
+    built, unless n distinct integers), and the product, the pull-push and
+    the reduction run in Z[z^±], with the same result for every such w, as
+    the module docstring shows.
     """
-    return _k_tutte_and_y(flag_matroid)[0]
+    n = flag_matroid.n
+    if n < 2:
+        raise OutOfRange("the construction needs n >= 2")
+    weights = tuple(range(n)) if weights is None else tuple(weights)
+    o1 = o1_class(FlagSpace(n, flag_matroid.ranks)).specialize(weights)
+    cls = y_class(flag_matroid).specialize(weights) * o1
+    return to_nonequivariant(pushforward_to_pp(cls))

@@ -202,12 +202,13 @@ def _table_walk(n, z, points):
     sums of x_0..x_{j-1}.  The last two coordinates a, b close by the
     interval x_a in [s - u_b, u_a] with x_b = s - x_a, where s is what is
     left of z(E).  Returns the number of points; when `points` is a list,
-    the points are also appended to it in lex order.
+    the points are also appended to it in lex order.  The ground set must
+    not be empty (OutOfRange for n < 1, as for polymatroids).
     """
+    if n < 1:
+        raise OutOfRange(f"ground set size {n} < 1")
     full = (1 << n) - 1
     if n == 1:
-        if z[full] > z[1]:
-            return 0
         if points is not None:
             points.append((z[full],))
         return 1
@@ -242,7 +243,8 @@ def _table_walk(n, z, points):
 
 
 def lattice_points_of_table(n, z):
-    """Integer points of {x(S) <= z(S), x(E) = z(E)}, lex sorted."""
+    """Integer points of {x(S) <= z(S), x(E) = z(E)}, lex sorted; n >= 1
+    (OutOfRange otherwise)."""
     points = []
     _table_walk(n, z, points)
     return points

@@ -453,6 +453,12 @@ def binomial_fraction_sum(nvars, terms, times=()):
 def evaluate_at_one(f, weights):
     """Evaluate at t_i -> 1 through the one-parameter subgroup t_i = z^{w_i}.
 
+    No pipeline stage calls it: the values that
+    :func:`flagtutte.ktheory.k_tutte` evaluates are Laurent polynomials,
+    read at 1 by :meth:`LaurentPoly.subs_one`.  It is library API, and the
+    evaluation that a sum of vertex-cone Hilbert series at t = 1 needs
+    (Brion's theorem counts lattice points that way).
+
     Substitutes, divides the numerator by (1 - z) once for each
     denominator factor, and evaluates at z = 1, where each factor
     (1 - z^d) / (1 - z) is d.  Raises BadWeights when a denominator factor

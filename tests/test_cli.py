@@ -102,13 +102,17 @@ class TestKTutte:
             outs.add(out)
         assert len(outs) == 1
 
-    def test_weights_mismatch_exits_one(self, capsys, monkeypatch):
-        import flagtutte.cli as cli
-        monkeypatch.setattr(cli, "evaluate_at_one", lambda f, w: -1)
-        code, doc = run_json(capsys, "ktutte", FIXTURES / "flag_rank12.json",
-                             "--weights=1,2,3")
-        assert code == 1
-        assert doc["ok"] is False and doc["error"] == "EvaluationMismatch"
+    @pytest.mark.parametrize("verb", ["ktutte", "charpoly", "yclass"])
+    @pytest.mark.parametrize("fixture, weights", [
+        ("flag_rank12", ["2,0,1", "-5,3,1", "0,-1,-2"]),
+        ("flag_u23_5", ["4,0,3,1,2", "-3,7,0,-1,2", "10,20,30,40,50"])])
+    def test_weights_do_not_change_the_bytes(self, capsys, verb, fixture,
+                                             weights):
+        path = FIXTURES / f"{fixture}.json"
+        plain = run(capsys, verb, path)
+        assert plain[0] == 0
+        for w in weights:
+            assert run(capsys, verb, path, f"--weights={w}") == plain, w
 
 
 class TestCharpoly:
@@ -221,6 +225,9 @@ class TestBadInput:
         ("yclass", None, ["--fixed-point=x|y"], "ParseError"),
         ("qprime", EMPTY_POLYMATROID, [], "OutOfRange"),
         ("polytope", EMPTY_POLYMATROID, [], "OutOfRange"),
+        ("ktutte", None, ["--weights=1,1,2,3,4"], "BadWeights"),
+        ("ktutte", None, ["--weights=1,2,3"], "BadWeights"),
+        ("yclass", None, ["--weights=1,1,2,3,4"], "BadWeights"),
     ])
     def test_exits_one_with_report(self, capsys, tmp_path, verb, doc, extra,
                                    error):

@@ -100,6 +100,50 @@ def matrix_flags(max_n):
         min_size=1, max_size=n - 1)).map(build)
 
 
+def distinct_weights(n):
+    """n distinct integer weights, negative ones included."""
+    return st.lists(st.integers(-9, 9), min_size=n, max_size=n,
+                    unique=True).map(tuple)
+
+
+@st.composite
+def product_basis_classes(draw, max_n, specialized):
+    """(class, coefficients) with the class sum_{a, b} c_ab times the
+    coordinate-subspace class (a, b) on P^{n-1} x P^{n-1}, built here
+    from its restrictions: at the line i and the hyperplane missing m,
+    V(i, m) = sum_{a <= i, b <= m} c_ab prod_{l < a} (1 - t^chi(l, i))
+    prod_{l < b} (1 - t^chi(m, l)).  The c_ab are random Laurent
+    polynomials in the torus characters, or in z when `specialized`, where
+    chi(i, j) is the degree w_i - w_j under random distinct weights."""
+    n = draw(st.integers(2, max_n))
+    if specialized:
+        weights, nvars = draw(distinct_weights(n)), 1
+
+        def chi(i, j):
+            return (weights[i] - weights[j],)
+    else:
+        weights, nvars = None, n
+
+        def chi(i, j):
+            return tuple((k == i) - (k == j) for k in range(n))
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    polys = st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(
+        lambda terms: LaurentPoly(nvars, terms))
+    coeffs = {(a, b): draw(polys) for a in range(n) for b in range(n)}
+    space = ProjProductSpace(n)
+    values = {}
+    for point in space.fixed_points():
+        (i,), m = point[0], space.missing(point[1])
+        v = LaurentPoly.zero(nvars)
+        for a in range(i + 1):
+            for b in range(m + 1):
+                v = v + coeffs[(a, b)] * _poly_product(
+                    nvars, [chi(l, i) for l in range(a)]
+                    + [chi(m, l) for l in range(b)])
+        values[point] = v
+    return EquivariantClass(space, values, weights), coeffs
+
+
 EXAMPLE_TUTTE = LaurentPoly(2, {(2, 2): 1, (2, 1): 1, (1, 2): 1, (2, 0): 1,
                                  (1, 1): 1})
 
@@ -416,6 +460,23 @@ class TestToNonEquivariant:
         pushed = TestPushforward().build_pushed()
         assert to_nonequivariant(pushed) == EXAMPLE_TUTTE
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(product_basis_classes(4, specialized=False),
+                     product_basis_classes(7, specialized=True)),
+           st.data())
+    def test_round_trip_through_the_product_basis(self, case, data):
+        cls, coeffs = case
+        assert to_nonequivariant(cls) == LaurentPoly(
+            2, {(b, a): c.subs_one() for (a, b), c in coeffs.items()})
+        # one monomial more at one point leaves the span of the basis
+        point = data.draw(st.sampled_from(cls.space.fixed_points()))
+        exp = data.draw(st.tuples(*[st.integers(-2, 2)] * cls.nvars))
+        values = dict(cls.values)
+        values[point] = cls.value(point) + LaurentPoly.monomial(exp)
+        with pytest.raises(InexactDivision):
+            to_nonequivariant(EquivariantClass(cls.space, values,
+                                               cls.weights))
+
 
 class TestKTutte:
     def test_four_flag_example(self):
@@ -533,6 +594,14 @@ class TestRandomizedSpecialization:
             f = flag_from_constituents([m])
             assert k_tutte(f) == tutte_rank_nullity(m), rows
             done += 1
+
+
+class TestCocharacter:
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)), st.data())
+    def test_k_tutte_does_not_depend_on_the_weights(self, flag, data):
+        weights = data.draw(distinct_weights(flag.n))
+        assert k_tutte(flag, weights) == k_tutte(flag)
 
 
 class TestWeightIndependence:

@@ -627,3 +627,12 @@ class TestCountShifted:
         assert lattice_points_of_table(n, tuple(z)) == expect
         assert count_lattice_points_of_table(n, tuple(z)) == len(expect)
         assert count_shifted(p, u, t) == len(expect)
+
+    def test_empty_ground_set_is_out_of_range(self):
+        from flagtutte.lattice import (count_lattice_points_of_table,
+                                       lattice_points_of_table)
+        for call in (lambda: lattice_points_of_table(0, (0,)),
+                     lambda: count_lattice_points_of_table(0, (0,)),
+                     lambda: polytope_from_lattice_points([()])):
+            with pytest.raises(OutOfRange):
+                call()

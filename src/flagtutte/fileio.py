@@ -17,12 +17,14 @@ from .polyflag import FlagMatroid, Polymatroid, flag_from_constituents, \
 
 
 def load_document(path):
+    """The JSON value in the UTF-8 file at `path`; ParseError if the file
+    cannot be read, is not UTF-8, is not JSON or nests too deeply."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -37,12 +39,13 @@ def _require(doc, key, kind):
 
 
 def _is_int(x):
-    return isinstance(x, int)
+    """An int; JSON true and false are bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_rational(x):
     """An int, a finite float or a string such as "-3/4"."""
-    if not isinstance(x, (int, float, str)):
+    if not isinstance(x, (int, float, str)) or isinstance(x, bool):
         return False
     try:
         Fraction(x)
@@ -102,37 +105,37 @@ def parse_object(doc):
     if kind == "flag_matroid":
         subs = _field(doc, "constituents", kind, _list_of(_is_object),
                       "a list of objects")
-        constituents = [parse_object(sub if "type" in sub
-                                     else {"type": "matroid", **sub,
-                                           "indexing": doc.get("indexing", "0")})
-                        for sub in subs]
-        _require_matroids(constituents, "flag constituents")
+        constituents = [_parse_matroid(
+            sub if "type" in sub else {"type": "matroid", **sub,
+                                       "indexing": doc.get("indexing", "0")},
+            "flag constituents") for sub in subs]
         flag = flag_from_constituents(constituents)
         ranks = doc.get("ranks")
-        if ranks is not None and (not isinstance(ranks, list)
+        if ranks is not None and (not _list_of(_is_int)(ranks)
                                   or tuple(ranks) != flag.ranks):
             raise SchemaError(
                 f"declared ranks {ranks} do not match constituents "
                 f"{flag.ranks}")
         return flag
     if kind == "matroid_pair":
-        pair = tuple(parse_object(_field(doc, key, kind, _is_object,
-                                         "an object"))
+        return tuple(_parse_matroid(_field(doc, key, kind, _is_object,
+                                           "an object"),
+                                    "matroid_pair members")
                      for key in ("N", "M"))
-        _require_matroids(pair, "matroid_pair members")
-        return pair
     if kind == "matroid_list":
         subs = _field(doc, "matroids", kind, _list_of(_is_object),
                       "a list of objects")
-        matroids = [parse_object(sub) for sub in subs]
-        _require_matroids(matroids, "matroid_list members")
-        return matroids
+        return [_parse_matroid(sub, "matroid_list members") for sub in subs]
     raise SchemaError(f"unknown document type {kind!r}")
 
 
-def _require_matroids(objects, what):
-    if not all(isinstance(obj, Matroid) for obj in objects):
+def _parse_matroid(doc, what):
+    """A member document that must be a matroid.  Its tag is checked
+    before it is parsed, so members never nest and parsing never recurses
+    more than one level."""
+    if doc.get("type") not in ("matroid", "matrix", "graph"):
         raise SchemaError(f"{what} must be matroids")
+    return parse_object(doc)
 
 
 def load_object(path):

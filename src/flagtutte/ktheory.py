@@ -25,7 +25,9 @@ and commutes with the evaluation at 1, so the polynomial is the same.  A
 class records which ring its values live in
 (:attr:`EquivariantClass.weights`), and each of those three stages has one
 body over the class's map from a pair (i, j) to an exponent: e_i - e_j
-itself, the multivariate oracle, or its degree.  A GKM or exactness check
+itself, the multivariate oracle, or its degree.  A GKM check compares the
+residues of the two ends of an orbit modulo 1 - t^chi
+(:meth:`flagtutte.laurent.LaurentPoly.residue`).  A GKM or exactness check
 that runs after the specialization, in Z[z^±], is a necessary condition
 only; the multivariate GKM check on the localization class is the
 certificate.
@@ -267,15 +269,15 @@ class EquivariantClass:
         return [(fp, self.value(fp)) for fp in self.space.fixed_points()]
 
     def gkm_verdict(self):
-        """Congruence f(x) = f(y) mod (1 - chi) along every 1-dim orbit.
+        """Congruence f(x) = f(y) mod (1 - chi) along every 1-dim orbit:
+        the two ends have the same residue (:meth:`LaurentPoly.residue`).
 
         On a specialized class the congruence is taken in Z[z^±]: a
         necessary condition for the class it came from, not a proof.
         """
         for f1, f2, (i, j) in self.space.one_dim_orbits():
             chi = self.char(i, j)
-            diff = self.value(f1) - self.value(f2)
-            if not diff.divisible_by(LaurentPoly.one_minus(chi)):
+            if self.value(f1).residue(chi) != self.value(f2).residue(chi):
                 return Verdict(False, "congruence fails",
                                witness=(f1, f2, (i, j)))
         return Verdict(True)
@@ -424,7 +426,7 @@ def _solve_along(values, factor):
     out = []
     for i, v in enumerate(values):
         for a, x in enumerate(out):
-            v = (v - x).exact_divide(LaurentPoly.one_minus(factor(a, i)))
+            v = (v - x).exact_divide(factor(a, i))
         out.append(v)
     return out
 
@@ -481,6 +483,9 @@ def k_tutte(flag_matroid, weights=None):
     if n < 2:
         raise OutOfRange("the construction needs n >= 2")
     weights = tuple(range(n)) if weights is None else tuple(weights)
-    o1 = o1_class(FlagSpace(n, flag_matroid.ranks)).specialize(weights)
-    cls = y_class(flag_matroid).specialize(weights) * o1
-    return to_nonequivariant(pushforward_to_pp(cls))
+    space = FlagSpace(n, flag_matroid.ranks)
+    EquivariantClass(space, {}).specialize(weights)  # BadWeights, no cone
+    # y first: its rank table bounds n before O(1) lists every fixed point
+    y = y_class(flag_matroid).specialize(weights)
+    return to_nonequivariant(pushforward_to_pp(
+        y * o1_class(space).specialize(weights)))

@@ -5,14 +5,16 @@ a :class:`LaurentPoly` maps exponent vectors to nonzero integer
 coefficients.  A :class:`KRational` keeps its denominator as a multiset of
 exponent vectors, each standing for a binomial factor (1 - t^a) — the only
 denominators the localization formulas ever produce — so cancellation can
-happen factor by factor and stay exact; dividing by one binomial 1 - t^a
-is a running sum along the lines r + Z*a, exact iff every line sums to
-zero.  A sum of such fractions that must come out a Laurent polynomial, as
-the vertex-cone numerators and the pushforward fibers do, is taken over
-one common denominator whose factors are divided off at the end
-(:func:`binomial_fraction_sum`).  A ring map t_i -> z^{w_i}
-(:meth:`LaurentPoly.specialize`) takes a polynomial to one variable, where
-the same arithmetic runs on 1-tuples.
+happen factor by factor and stay exact.  Every division and every
+congruence is against such a binomial, so it is named by its direction a:
+:meth:`LaurentPoly.exact_divide` takes running sums along the lines
+r + Z*a, exact iff every line sums to zero, and :meth:`LaurentPoly.residue`
+is the image in Z[t^±]/(1 - t^a), the line sums.  A sum of such fractions
+that must come out a Laurent polynomial, as the vertex-cone numerators and
+the pushforward fibers do, is taken over one common denominator whose
+factors are divided off at the end (:func:`binomial_fraction_sum`).  A
+ring map t_i -> z^{w_i} (:meth:`LaurentPoly.specialize`) takes a
+polynomial to one variable, where the same arithmetic runs on 1-tuples.
 """
 
 import operator
@@ -167,67 +169,67 @@ class LaurentPoly:
         """Value at t_1 = ... = t_n = 1."""
         return sum(self.terms.values())
 
-    def exact_divide(self, q):
-        """The quotient self / q in the Laurent ring, if it is exact.
-
-        A binomial divisor c*t^b*(1 - t^a), the only kind the localization
-        pipeline divides by, takes running sums along the lines of
-        direction a (:meth:`_line_sum_divide`), in time linear in the size
-        of the quotient.  Any other divisor goes through leading-term
-        elimination under lex order (:meth:`_lex_divide`), which is also
-        the oracle the line sums are tested against.  Raises
-        InexactDivision if no integer Laurent polynomial quotient exists.
-        """
-        self._check(q)
-        if q.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if len(q.terms) == 2:
-            (b, c), (e, d) = q.terms.items()
-            if d == -c:
-                return self._line_sum_divide(_vsub(e, b), c, b)
-        return self._lex_divide(q)
-
     def _lines(self, a):
-        """The support [(i, a_i)] of a != 0, and self's terms grouped by
-        the lines r + Z*a: {r: [(k, c), ...]} for the terms c*t^(r + k*a),
-        with k = e_i // a_i at the first i of the support."""
+        """The support [(i, a_i)] of a, and the map e -> (r, k) with
+        e = r + k*a, where r is the point of the line r + Z*a with
+        0 <= r_p < a_p (or a_p < r_p <= 0) at the first p of the support.
+        ZeroDivisionError for a = 0, as 1 - t^0 = 0."""
+        if len(a) != self.nvars:
+            raise DimensionMismatch(f"{self.nvars} variables vs {a}")
         support = [(i, x) for i, x in enumerate(a) if x]
+        if not support:
+            raise ZeroDivisionError("division by 1 - t^0 = 0")
         pivot, step = support[0]
-        lines = {}
-        for e, coeff in self.terms.items():
+
+        def line_of(e):
             k = e[pivot] // step
-            base = _along(e, support, -k) if k else e
-            lines.setdefault(base, []).append((k, coeff))
-        return support, lines
+            return (_along(e, support, -k) if k else e), k
+        return support, line_of
 
-    def _line_sum_divide(self, a, c, b):
-        """self / (c * t^b * (1 - t^a)) by running sums along lines.
+    def exact_divide(self, a):
+        """The quotient self / (1 - t^a) in the Laurent ring, if exact.
 
-        On each line r + Z*a the quotient Q of self by (1 - t^a) satisfies
+        On each line r + Z*a the quotient Q satisfies
         Q(r + k*a) - Q(r + (k-1)*a) = self(r + k*a), so Q is the running
-        sum of self's coefficients from the line's low end.  The division
-        is exact iff every line sums to zero and c divides every partial
-        sum; the first line that fails raises InexactDivision.
+        sum of self's coefficients from the line's low end, in time linear
+        in the size of the quotient.  The division is exact iff every line
+        sums to zero; the first line that does not raises InexactDivision.
+        :meth:`_lex_divide` divides by any polynomial and is the oracle.
         """
-        support, lines = self._lines(a)
+        support, line_of = self._lines(a)
+        lines = {}
+        for e, c in self.terms.items():
+            base, k = line_of(e)
+            lines.setdefault(base, []).append((k, c))
         quot = {}
         for base, line in lines.items():
             line.sort()
-            origin = _vsub(base, b) if any(b) else base
             run = 0
-            for (k, coeff), (k_next, _) in zip(line, line[1:]):
-                run += coeff
-                value, rest = divmod(run, c)
-                if rest:
-                    raise InexactDivision(
-                        f"{c} does not divide the running sum {run}")
-                if value:
+            for (k, c), (k_next, _) in zip(line, line[1:]):
+                run += c
+                if run:
                     for j in range(k, k_next):
-                        quot[_along(origin, support, j)] = value
+                        quot[_along(base, support, j)] = run
             if run + line[-1][1]:
                 raise InexactDivision(
                     f"the line {base} + Z*{a} does not sum to zero")
         return LaurentPoly(self.nvars, quot)
+
+    def residue(self, a):
+        """The image of self in Z[t^±]/(1 - t^a), the group ring of
+        Z^n/Za: {r: the sum of self's coefficients on the line r + Z*a}
+        over the lines whose sum is not zero, r as in :meth:`_lines`.
+
+        1 - u divides a polynomial in u = t^a iff it vanishes at u = 1, so
+        1 - t^a divides p - q iff p.residue(a) == q.residue(a), also for a
+        direction a that is not primitive.
+        """
+        line_of = self._lines(a)[1]
+        sums = {}
+        for e, c in self.terms.items():
+            base = line_of(e)[0]
+            sums[base] = sums.get(base, 0) + c
+        return {r: c for r, c in sums.items() if c}
 
     def _lex_divide(self, q):
         """self / q by leading-term elimination under lex order."""
@@ -259,17 +261,6 @@ class LaurentPoly:
                 else:
                     rem.pop(key, None)
         return LaurentPoly(self.nvars, quot)
-
-    def divisible_by(self, q):
-        """Whether q = 1 - t^a divides self: iff every line r + Z*a of self
-        sums to zero, as 1 - u divides a polynomial in u = t^a iff it
-        vanishes at u = 1.  Builds no quotient; ValueError for another q."""
-        self._check(q)
-        a = next((e for e in q.terms if any(e)), None)
-        if a is None or q != LaurentPoly.one_minus(a):
-            raise ValueError(f"{q!r} is not a binomial 1 - t^a")
-        return all(sum(c for _, c in line) == 0
-                   for line in self._lines(a)[1].values())
 
     def __repr__(self):
         return f"LaurentPoly({self.nvars}, {format_poly(self)})"
@@ -326,9 +317,8 @@ class KRational:
     def _reduced(num, den):
         remaining = []
         for a in sorted(den):
-            factor = LaurentPoly.one_minus(a)
             try:
-                num = num.exact_divide(factor)
+                num = num.exact_divide(a)
             except InexactDivision:
                 remaining.append(a)
         return num, tuple(remaining)
@@ -446,7 +436,7 @@ def binomial_fraction_sum(nvars, terms, times=()):
                                             _multiset_sub(common, den))
     total = total * _poly_product(nvars, times)
     for a in common:
-        total = total.exact_divide(LaurentPoly.one_minus(a))
+        total = total.exact_divide(a)
     return total
 
 
@@ -474,7 +464,7 @@ def evaluate_at_one(f, weights):
         raise BadWeights(f"weights {tuple(weights)} kill a denominator factor")
     for k in range(len(dots)):
         try:
-            num = num.exact_divide(LaurentPoly.one_minus((1,)))
+            num = num.exact_divide((1,))
         except InexactDivision:
             raise PoleAtOne(k, len(dots)) from None
     value = Fraction(num.subs_one(), prod(dots))

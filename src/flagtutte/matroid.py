@@ -13,6 +13,10 @@ from .errors import (EmptyBases, ExchangeViolation, MismatchedGroundSets,
                      NotAMatroid, OutOfRange, UnequalCardinality, Verdict)
 from . import linalg
 
+# The largest ground set a rank table is built for: the table has 2^n
+# entries, a million at n = 20 and a trillion at n = 40.
+MAX_TABLE_ELEMENTS = 20
+
 
 def _mask(subset):
     m = 0
@@ -58,8 +62,14 @@ class Matroid:
         Independent masks are the downward closure of the bases.  Each mask
         m then gets a greedy basis: that of m minus its lowest element, plus
         that element when the union stays independent; the rank is its size.
+        OutOfRange, before anything is allocated, when n exceeds
+        MAX_TABLE_ELEMENTS.
         """
         if self._rank_table is None:
+            if self.n > MAX_TABLE_ELEMENTS:
+                raise OutOfRange(f"a rank table on {self.n} elements needs "
+                                 f"2^{self.n} entries; the limit is "
+                                 f"n = {MAX_TABLE_ELEMENTS}")
             n, full = self.n, 1 << self.n
             independent = bytearray(full)
             for m in self._basis_masks:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flagtutte.cli import main
+from flagtutte.cli import COMMANDS, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EMPTY_POLYMATROID = {"type": "polymatroid", "n": 0, "rank": [0]}
@@ -228,6 +232,12 @@ class TestBadInput:
         ("ktutte", None, ["--weights=1,1,2,3,4"], "BadWeights"),
         ("ktutte", None, ["--weights=1,2,3"], "BadWeights"),
         ("yclass", None, ["--weights=1,1,2,3,4"], "BadWeights"),
+        ("check", {"type": "matroid", "n": True, "bases": [[0]]}, [],
+         "SchemaError"),
+        ("check", {"type": "matrix", "rows": [[1, False]]}, [],
+         "SchemaError"),
+        ("polytope", {"type": "matroid", "n": 40, "bases": [[0]]}, [],
+         "OutOfRange"),
     ])
     def test_exits_one_with_report(self, capsys, tmp_path, verb, doc, extra,
                                    error):
@@ -257,6 +267,30 @@ class TestBadInput:
         assert report["error"] == "SchemaError"
         assert report["detail"] == detail
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                            # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,          # nests too deeply
+    ])
+    def test_unreadable_file_exits_one(self, capsys, tmp_path, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, report = run_json(capsys, "check", path)
+        assert code == 1
+        assert report["ok"] is False and report["error"] == "ParseError"
+
+    def test_nested_members_are_not_parsed(self, capsys, tmp_path):
+        # a member is checked to be a matroid before it is parsed, so
+        # nesting deeper than the interpreter's recursion limit allows in
+        # parse_object still ends in the report
+        leaf = doc = {"type": "matroid", "n": 1, "bases": [[0]]}
+        for _ in range(495):
+            doc = {"type": "matroid_pair", "N": doc, "M": leaf}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "quotient", path)
+        assert code == 1
+        assert report["detail"] == "matroid_pair members must be matroids"
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, capsys):
@@ -268,3 +302,90 @@ class TestDeterminism:
         a = run(capsys, "tutte", FIXTURES / "k4.json", "--output=text")
         b = run(capsys, "tutte", FIXTURES / "k4.json", "--output=text")
         assert a == b and a[0] == 0
+
+
+# ------------------------------------------------------------------ fuzzing
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.text(max_size=3)
+    | st.floats(-4, 4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def fuzz_field(good):
+    """Mostly a well-typed value, sometimes any JSON value at all."""
+    return st.integers(0, 7).flatmap(
+        lambda k: JSON_VALUES if k == 0 else good)
+
+
+def fuzz_documents():
+    """Documents under every type tag with n <= 5: fields right or wrong,
+    booleans, rationals as strings and members nested two levels deep."""
+    equal_size_sets = st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers(-1, 4), min_size=k, max_size=k, unique=True),
+        min_size=1, max_size=4))
+    matroids = st.one_of(
+        st.fixed_dictionaries(
+            {"type": st.just("matroid"), "n": fuzz_field(st.integers(0, 5)),
+             "bases": fuzz_field(equal_size_sets)},
+            optional={"indexing": st.sampled_from(["0", "1", 1, True])}),
+        st.fixed_dictionaries({"type": st.just("matrix"), "rows": fuzz_field(
+            st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(
+                st.integers(-2, 2) | st.just("1/2"), min_size=n, max_size=n),
+                min_size=1, max_size=3)))}),
+        st.fixed_dictionaries(
+            {"type": st.just("graph"), "edges": fuzz_field(st.lists(
+                st.lists(st.integers(-1, 4), min_size=2, max_size=2),
+                min_size=1, max_size=5))},
+            optional={"vertices": fuzz_field(st.integers(3, 6))}))
+    others = st.one_of(
+        st.fixed_dictionaries({
+            "type": st.just("polymatroid"), "n": fuzz_field(st.integers(0, 3)),
+            "rank": fuzz_field(st.lists(st.integers(-1, 3), max_size=8))}),
+        st.fixed_dictionaries({"type": JSON_VALUES}))
+
+    def containers(members):
+        return st.one_of(
+            st.fixed_dictionaries(
+                {"type": st.just("flag_matroid"), "constituents": fuzz_field(
+                    st.lists(members, min_size=1, max_size=3))},
+                optional={"ranks": fuzz_field(st.lists(st.integers(0, 4)))}),
+            st.fixed_dictionaries({"type": st.just("matroid_pair"),
+                                   "N": fuzz_field(members),
+                                   "M": fuzz_field(members)}),
+            st.fixed_dictionaries({"type": st.just("matroid_list"),
+                                   "matroids": fuzz_field(
+                                       st.lists(members, max_size=3))}))
+    return st.one_of(matroids, matroids, others, containers(matroids),
+                     containers(containers(matroids)), JSON_VALUES)
+
+
+FUZZ_OPTIONS = st.lists(st.sampled_from([
+    "--method=delcon", "--output=text", "--kmax=2", "--kmax=x",
+    "--weights=0,1,2", "--weights=2,0,1,3,4", "--weights=1,1",
+    "--fixed-point=0|01", "--fixed-point=", "--bogus"]), max_size=2)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(sorted(COMMANDS)), fuzz_documents(),
+           FUZZ_OPTIONS)
+    def test_every_document_ends_in_the_contract(self, verb, doc, options):
+        # exit 0, exit 1 with one JSON report, or exit 2 for usage
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main([verb, str(path), *options])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        if code == 1:
+            report = json.loads(out.getvalue())
+            assert report["ok"] is False

@@ -144,6 +144,37 @@ def product_basis_classes(draw, max_n, specialized):
     return EquivariantClass(space, values, weights), coeffs
 
 
+@st.composite
+def perturbed_matrix_y(draw):
+    """y of a random matrix flag with one fixed point's value changed by a
+    monomial or by a multiple of 1 - t^chi, chi a chart character there,
+    or left as it is."""
+    y = y_class(draw(matrix_flags(5)))
+    space, n = y.space, y.space.n
+    at = draw(st.sampled_from(space.fixed_points()))
+    kind = draw(st.sampled_from(["monomial", "multiple", "none"]))
+    bump = LaurentPoly.zero(n)
+    if kind == "monomial":
+        bump = LaurentPoly.monomial(draw(st.tuples(*[st.integers(-2, 2)] * n)),
+                                    draw(st.sampled_from([-2, -1, 1, 2])))
+    elif kind == "multiple":
+        chi = draw(st.sampled_from(space.chart_characters(at)))
+        bump = draw(small_polys(n)) * LaurentPoly.one_minus(chi)
+    return EquivariantClass(space, {**y.values, at: y.value(at) + bump})
+
+
+def first_incongruent_orbit(cls):
+    """Oracle: the first orbit (f1, f2, (i, j)) along which lex elimination
+    does not divide the difference of the ends by 1 - t^chi, or None."""
+    for f1, f2, (i, j) in cls.space.one_dim_orbits():
+        try:
+            (cls.value(f1) - cls.value(f2))._lex_divide(
+                LaurentPoly.one_minus(cls.char(i, j)))
+        except InexactDivision:
+            return f1, f2, (i, j)
+    return None
+
+
 EXAMPLE_TUTTE = LaurentPoly(2, {(2, 2): 1, (2, 1): 1, (1, 2): 1, (2, 0): 1,
                                  (1, 1): 1})
 
@@ -228,6 +259,14 @@ class TestYClass:
                   flag_from_constituents([uniform_matroid(1, 3),
                                           uniform_matroid(2, 3)])]:
             assert y_class(f).gkm_verdict()
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed_matrix_y())
+    def test_residue_verdict_agrees_with_lex_division(self, cls):
+        # the witness is the first failing orbit in one_dim_orbits order
+        verdict = cls.gkm_verdict()
+        assert (None if verdict else verdict.witness) == \
+            first_incongruent_orbit(cls)
 
 
 class TestO1:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +84,18 @@ class TestRank:
         assert m.rank_table() == tuple(
             max(bin(mask & b).count("1") for b in masks)
             for mask in range(1 << m.n))
+
+    def test_rank_table_beyond_the_limit_allocates_nothing(self):
+        # 2^40 entries would exhaust memory; the guard raises first
+        m = matroid_from_bases(40, [[0]])  # beyond MAX_TABLE_ELEMENTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                m.rank_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestVerdict:

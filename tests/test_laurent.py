@@ -116,38 +116,79 @@ def lex_quotient(num, a):
         return None
 
 
+def fast_quotient(num, a):
+    """num.exact_divide(a), or None if it raises InexactDivision."""
+    try:
+        return num.exact_divide(a)
+    except InexactDivision:
+        return None
+
+
+def directions(n):
+    """Exponents a of 1 - t^a, a = 0 and non-primitive ones included."""
+    return st.tuples(*[st.integers(-3, 3)] * n)
+
+
 class TestBinomialDivide:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
         laurent_polys(n), laurent_polys(n), laurent_polys(n, max_terms=2),
-        st.tuples(*[st.integers(-3, 3)] * n))),
+        directions(n))),
         st.booleans())
     @example((LaurentPoly(2, {(0, 0): 1, (1, 0): 2}), LaurentPoly.zero(2),
-              LaurentPoly.zero(2), (2, 0)), True)
+              LaurentPoly(2, {(2, 0): -1}), (2, 0)), False)
     @example((LaurentPoly(3, {(0, 1, 0): 1, (1, 0, -1): -3}),
               LaurentPoly(3, {(0, 0, 0): 1}), LaurentPoly.zero(3),
               (0, -3, 1)), True)
     @example((LaurentPoly(3, {(0, 1, 0): 1, (1, 0, -1): -3}),
-              LaurentPoly.zero(3), LaurentPoly.zero(3), (0, -3, 1)), False)
-    def test_residue_and_quotient_agree_with_lex(self, case, multiple):
-        # q = p + m*(1 - t^a) + extra, where a bare `extra` breaks the line
-        # sums it meets; directions include non-primitive ones such as
-        # (2, 0) and (0, -3, 1), and a = 0
+              LaurentPoly(3, {(0, 0, 0): 1}), LaurentPoly.zero(3),
+              (0, -3, 1)), False)
+    def test_divisible_by_agrees_with_lex(self, case, multiple):
+        # p.residue(a) == q.residue(a) exactly when 1 - t^a divides q - p,
+        # for q = p + m*(1 - t^a) + extra (or p + m + extra), also for
+        # directions that are not primitive, such as (2, 0) or (0, -3, 1)
         p, m, extra, a = case
         if not any(a):
-            for divide in (p.exact_divide, p.residue):
-                with pytest.raises(ZeroDivisionError):
-                    divide(a)
+            with pytest.raises(ZeroDivisionError):
+                p.residue(a)
             return
         q = p + (m * LaurentPoly.one_minus(a) if multiple else m) + extra
-        lex = lex_quotient(q - p, a)
-        assert (p.residue(a) == q.residue(a)) == (lex is not None)
-        for num in (q, q - p):
-            try:
-                fast = num.exact_divide(a)
-            except InexactDivision:
-                fast = None
-            assert fast == lex_quotient(num, a)
+        assert (p.residue(a) == q.residue(a)) == \
+            (lex_quotient(q - p, a) is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        laurent_polys(n), directions(n))))
+    def test_exact_multiple_agrees_with_lex(self, case):
+        p, a = case
+        if not any(a):
+            with pytest.raises(ZeroDivisionError):
+                p.exact_divide(a)
+            return
+        num = p * LaurentPoly.one_minus(a)
+        assert num.exact_divide(a) == lex_quotient(num, a) == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        laurent_polys(n), directions(n).filter(any),
+        st.tuples(*[st.integers(-4, 4)] * n),
+        st.integers(-3, 3).filter(bool))),
+        st.booleans())
+    @example((LaurentPoly(2, {(0, 0): 1, (1, 0): 2}), (2, 0), (2, 0), -1),
+             False)
+    @example((LaurentPoly(3, {(0, 1, 0): 1}), (0, -3, 1), (1, 0, -1), 2),
+             True)
+    def test_perturbed_multiple_agrees_with_lex(self, case, keeps_sums):
+        # a bare monomial breaks a line sum; a monomial times (1 - t^a)
+        # keeps the line sums at zero and stays divisible
+        p, a, e, c = case
+        extra = LaurentPoly.monomial(e, c)
+        if keeps_sums:
+            extra = extra * LaurentPoly.one_minus(a)
+        num = p * LaurentPoly.one_minus(a) + extra
+        fast = fast_quotient(num, a)
+        assert fast == lex_quotient(num, a)
+        assert (fast is not None) == keeps_sums
 
     def test_running_sum_fills_gaps(self):
         # (1 - t^3) / (1 - t) = 1 + t + t^2: one line, quotient wider

@@ -18,8 +18,8 @@ from . import fileio
 from .invariants import (_from_shifted, characteristic_poly, format_bivar,
                          log_concavity, q_coefficients, tutte_activity,
                          tutte_delcon, tutte_rank_nullity)
-from .ktheory import (EquivariantClass, FlagSpace, k_tutte, parse_chain,
-                      y_class)
+from .ktheory import (EquivariantClass, FlagSpace, format_chain, k_tutte,
+                      parse_chain, y_class)
 from .lattice import (base_polytope, edges, is_normal, lattice_points,
                       poly_base_polytope)
 from .laurent import format_poly
@@ -152,8 +152,7 @@ def cmd_yclass(args):
         if not items:
             raise FlagTutteError(
                 f"{args.fixed_point!r} is not a fixed point of the space")
-    payload = [{"fixed_point": "|".join("".join(map(str, part))
-                                        for part in fp),
+    payload = [{"fixed_point": format_chain(fp, f.n),
                 "value": fileio.laurent_to_json(v),
                 "pretty": format_poly(v)}
                for fp, v in items]

@@ -33,13 +33,12 @@ only; the multivariate GKM check on the localization class is the
 certificate.
 """
 
-import itertools
-
 from .errors import (BadWeights, CheckFailed, InexactDivision, OutOfRange,
                      ParseError, SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, binomial_fraction_sum
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
-from .polyflag import enumerate_flags, flag_weight
+from .matroid import uniform_matroid
+from .polyflag import FlagMatroid, enumerate_flags, flag_weight
 
 
 def _char(n, i, j):
@@ -50,14 +49,30 @@ def _char(n, i, j):
     return tuple(out)
 
 
-def parse_chain(text):
-    """Inverse of the flag string: "0|01" -> ((0,), (0, 1)).
+def format_chain(chain, n):
+    """The flag string of a chain on n elements: ((0,), (0, 1)) -> "0|01".
 
-    Raises ParseError when a block is not made of element labels.
+    Labels run together while n <= 10, where each is one digit.  Beyond
+    that they are separated by commas, and a block of one label ends in a
+    comma so that it is not read as digits: ((10,), (3, 10)) -> "10,|3,10".
+    """
+    if n <= 10:
+        return "|".join("".join(map(str, part)) for part in chain)
+    return "|".join(",".join(map(str, part)) + "," * (len(part) == 1)
+                    for part in chain)
+
+
+def parse_chain(text):
+    """Inverse of :func:`format_chain`: "0|01" -> ((0,), (0, 1)).
+
+    A block with a comma is read as comma-separated labels, one trailing
+    comma allowed; any other block as single-digit labels.  Raises
+    ParseError when a block is not made of element labels.
     """
     parts = []
     for block in text.split("|"):
-        labels = block.split(",") if "," in block else block
+        labels = (block.removesuffix(",").split(",") if "," in block
+                  else block)
         try:
             parts.append(tuple(sorted(int(x) for x in labels)))
         except ValueError as exc:
@@ -85,19 +100,11 @@ class FlagSpace:
         self._fixed = None
 
     def fixed_points(self):
-        """All set-flags over the distinct ranks, sorted."""
+        """All set-flags over the distinct ranks, sorted: the basis flags
+        of the flag of uniform matroids of these ranks."""
         if self._fixed is None:
-            chains = [()]
-            universe = tuple(range(self.n))
-            for size in self.distinct_ranks:
-                new = []
-                for chain in chains:
-                    base = chain[-1] if chain else ()
-                    rest = [x for x in universe if x not in base]
-                    for extra in itertools.combinations(rest, size - len(base)):
-                        new.append(chain + (tuple(sorted(base + extra)),))
-                chains = new
-            self._fixed = tuple(sorted(chains))
+            self._fixed = tuple(enumerate_flags(FlagMatroid(
+                self.n, [uniform_matroid(k, self.n) for k in self.ranks])))
         return self._fixed
 
     def weight_vector(self, chain):

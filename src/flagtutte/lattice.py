@@ -8,8 +8,6 @@ the greedy rule of :mod:`flagtutte.polyflag` (or, on a flag polytope, from
 the weights of its basis flags), and lattice points from one
 walk over the table that fixes a coordinate per level and closes the last
 two by an interval; the same walk lists the points or only counts them.
-Polytopes given only by vertices (test counterexamples) fall back to exact
-convex-hull membership.
 
 The cone of a generalized permutohedron at a vertex is spanned by its edges
 there, each parallel to some e_i - e_j.  Edges come from one tight-set
@@ -17,8 +15,8 @@ adjacency per polytope, and the edge directions are certified as the
 cone's rays without linear programming: each must be e_i - e_j, and the
 arcs i -> j must have no cycle (the cone is pointed) and no shortcut (each
 ray is extreme).  The exact simplex of :mod:`flagtutte.linalg` finds the
-rays of every other cone, including those of vertex-only polytopes, and is
-the oracle the edge rays are tested against.
+rays of every other cone and is the oracle the edge rays are tested
+against; no polytope routine calls it.
 
 Cones are triangulated by a pulling triangulation over their extreme rays,
 and every piece is made half-open towards w = r_0 + eps*r_1 + eps^2*r_2 +
@@ -58,34 +56,27 @@ def _dot(a, b):
 
 
 class LatticePolytope:
-    """Vertex list plus an optional submodular description.
+    """Vertex list plus the submodular description z.
 
     `z` is a tuple of length 2^n indexed by subset bitmask with z[0] = 0;
-    the polytope is {x : x(S) <= z[S] for all S, x(E) = z[full]}.
+    the polytope is {x : x(S) <= z[S] for all S, x(E) = z[full]}.  Every
+    polytope here is a generalized permutohedron, so z is required.
     """
 
     __slots__ = ("n", "vertices", "z", "_neighbours")
 
-    def __init__(self, n, vertices, z=None):
+    def __init__(self, n, vertices, z):
         self.n = n
         self.vertices = tuple(sorted(tuple(v) for v in set(map(tuple, vertices))))
-        self.z = tuple(z) if z is not None else None
+        self.z = tuple(z)
         self._neighbours = None
 
     def neighbours(self):
         """For each vertex, the indices of the vertices it shares an edge
         with; the tight-set test runs once per polytope."""
         if self._neighbours is None:
-            verts = self.vertices
-            if self.z is None:
-                if len(verts) > 2:
-                    raise OutOfRange(
-                        "edge enumeration needs a submodular description")
-                self._neighbours = (((1,), (0,)) if len(verts) == 2
-                                   else ((),) * len(verts))
-            else:
-                self._neighbours = _tight_set_neighbours(self.n, self.z,
-                                                         verts)
+            self._neighbours = _tight_set_neighbours(self.n, self.z,
+                                                     self.vertices)
         return self._neighbours
 
     @property
@@ -96,21 +87,7 @@ class LatticePolytope:
         return linalg.matrix_rank([_vsub(v, v0) for v in self.vertices[1:]])
 
     def contains(self, point):
-        if self.z is not None:
-            return _gp_contains(self.n, self.z, point)
-        return linalg.in_hull(self.vertices, point)
-
-    def translate(self, shift):
-        verts = [_vadd(v, shift) for v in self.vertices]
-        z = None
-        if self.z is not None:
-            z = [zm + sm for zm, sm in zip(self.z, _subset_sums(shift))]
-        return LatticePolytope(self.n, verts, z)
-
-    def dilate(self, k):
-        verts = [tuple(k * x for x in v) for v in self.vertices]
-        z = None if self.z is None else [k * v for v in self.z]
-        return LatticePolytope(self.n, verts, z)
+        return _gp_contains(self.n, self.z, point)
 
     def __eq__(self, other):
         return (isinstance(other, LatticePolytope) and self.n == other.n
@@ -257,15 +234,7 @@ def count_lattice_points_of_table(n, z):
 
 def lattice_points(p):
     """All lattice points of the polytope, lex sorted."""
-    if p.z is not None:
-        return lattice_points_of_table(p.n, p.z)
-    lo = [min(v[i] for v in p.vertices) for i in range(p.n)]
-    hi = [max(v[i] for v in p.vertices) for i in range(p.n)]
-    out = []
-    for cand in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-        if linalg.in_hull(p.vertices, cand):
-            out.append(cand)
-    return out
+    return lattice_points_of_table(p.n, p.z)
 
 
 # ----------------------------------------------------------------- faces
@@ -386,17 +355,13 @@ class RationalCone:
 def cone_at_vertex(p, v):
     """Cone spanned by u - v over all vertices u of the polytope.
 
-    With a submodular description the cone is spanned by the edges at v
-    (:meth:`LatticePolytope.neighbours`), whose directions are certified
-    as its rays by :func:`edge_cone` without linear programming.  A
-    polytope given only by vertices gets the cone over all u - v.
+    It is spanned by the edges at v (:meth:`LatticePolytope.neighbours`),
+    whose directions :func:`edge_cone` certifies as its rays without linear
+    programming.
     """
     v = tuple(v)
     if v not in p.vertices:
         raise NotAVertex(f"{v} is not a vertex")
-    if p.z is None:
-        return RationalCone([_vsub(u, v) for u in p.vertices if u != v],
-                            n=p.n)
     adjacent = p.neighbours()[p.vertices.index(v)]
     return edge_cone([_vsub(p.vertices[j], v) for j in adjacent], p.n)
 
@@ -788,8 +753,6 @@ def minkowski_sum(polytopes):
     if len(ns) != 1:
         raise OutOfRange(f"ambient dimensions {sorted(ns)} differ")
     n = ns.pop()
-    if any(p.z is None for p in polytopes):
-        raise OutOfRange("summands need submodular descriptions")
     z = tuple(sum(p.z[m] for p in polytopes) for m in range(1 << n))
     return LatticePolytope(n, _gp_vertices(n, z), z)
 
@@ -824,10 +787,6 @@ def decompose_lattice_point(point, polytopes):
                 parts.pop()
         return False
 
-    if len(polytopes) == 1:
-        if polytopes[0].contains(point):
-            return [point]
-        raise NoDecomposition(f"{point} not in the polytope")
     if rec(0, point):
         return parts
     raise NoDecomposition(f"{point} admits no lattice decomposition")
@@ -836,13 +795,13 @@ def decompose_lattice_point(point, polytopes):
 def is_normal(p, kmax):
     """Every lattice point of kP a sum of k lattice points of P, k <= kmax.
 
-    The polytope is translated so its lex-least vertex sits at the origin
-    before checking; the ambient lattice Z^n is used throughout.
+    The points of kP are listed straight from the table k*z; the ambient
+    lattice Z^n is used throughout.  The witness is the first point, by k
+    and then in lex order, that is not a k-fold sum.
     """
     if kmax < 2:
         raise OutOfRange("kmax must be at least 2")
-    shifted = p.translate(tuple(-x for x in p.vertices[0]))
-    pts = lattice_points(shifted)
+    pts = lattice_points(p)
     ptset = set(pts)
     memo = {}
 
@@ -863,11 +822,10 @@ def is_normal(p, kmax):
         return ok
 
     for k in range(2, kmax + 1):
-        for q in lattice_points(shifted.dilate(k)):
+        for q in lattice_points_of_table(p.n, [k * x for x in p.z]):
             if not can(q, k, 0):
-                witness = _vadd(q, tuple(k * x for x in p.vertices[0]))
                 return Verdict(False, f"point of {k}P not a {k}-fold sum",
-                               witness=witness)
+                               witness=q)
     return Verdict(True)
 
 
@@ -879,8 +837,6 @@ def count_shifted(p, u, t):
     """
     if u < 0 or t < 0:
         raise NegativeShift(f"u={u}, t={t}")
-    if p.z is None:
-        raise OutOfRange("count_shifted needs a submodular description")
     n = p.n
     full = (1 << n) - 1
     z = list(p.z)

@@ -4,9 +4,9 @@ Small dense kernels used by the geometric modules: Gaussian elimination on
 ``fractions.Fraction`` matrices, nullspaces, an integer diagonalization
 P·A·Q = D by unimodular row/column operations (Smith-style, used to
 enumerate fundamental parallelepipeds), and a phase-one simplex for exact
-linear feasibility (rays of general cones, hull membership of polytopes
-given only by vertices; vertex cones of generalized permutohedra do without
-it).  No floating point anywhere.
+linear feasibility (rays of general cones, and the cone and hull oracles of
+the tests; no polytope routine calls it, since every polytope carries its
+submodular table).  No floating point anywhere.
 """
 
 from fractions import Fraction

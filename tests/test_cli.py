@@ -185,6 +185,16 @@ class TestYclass:
         assert code == 1 and doc["error"] == "FlagTutteError"
         assert doc["detail"] == "'' is not a fixed point of the space"
 
+    def test_label_of_element_ten_reads_back(self, capsys, tmp_path):
+        path = tmp_path / "u1_11.json"
+        path.write_text(json.dumps({"type": "matroid", "n": 11,
+                                    "bases": [[e] for e in range(11)]}))
+        code, doc = run_json(capsys, "yclass", path)
+        assert code == 0
+        label = doc[-1]["fixed_point"]  # element 10, last in sorted order
+        code, doc = run_json(capsys, "yclass", path, f"--fixed-point={label}")
+        assert code == 0 and len(doc) == 1
+
 
 class TestQuotientUnion:
     def test_pappus_quotient_pair(self, capsys):

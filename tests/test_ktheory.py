@@ -10,13 +10,14 @@ from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.invariants import (characteristic_poly, log_concavity,
                                   tutte_rank_nullity)
 from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
-                               _pushforward_value, k_tutte, o1_class,
-                               parse_chain, pullback, pushforward_to_pp,
-                               to_nonequivariant, y_class)
+                               _pushforward_value, format_chain, k_tutte,
+                               o1_class, parse_chain, pullback,
+                               pushforward_to_pp, to_nonequivariant, y_class)
+from flagtutte.lattice import count_lattice_points_of_table
 from flagtutte.laurent import KRational, LaurentPoly, _poly_product
 from flagtutte.matroid import matroid_from_matrix, uniform_matroid
 from flagtutte.polyflag import (flag_from_constituents,
-                                flag_from_subspace_flag)
+                                flag_from_subspace_flag, polymatroid_of_flag)
 
 from conftest import m2_rank2
 from test_polyflag import four_flag_matroid
@@ -657,3 +658,31 @@ class TestChainStrings:
     def test_parse_roundtrip(self):
         assert parse_chain("0|01") == ((0,), (0, 1))
         assert parse_chain("2|0,2,11") == ((2,), (0, 2, 11))
+
+    def test_format_parse_roundtrip(self):
+        assert format_chain(((0,), (0, 1)), 3) == "0|01"
+        assert format_chain(((10,), (3, 10)), 11) == "10,|3,10"
+        for space in (FlagSpace(11, (2, 3)), FlagSpace(11, (1,))):
+            for fp in space.fixed_points():
+                assert parse_chain(format_chain(fp, 11)) == fp
+
+
+def dual_flag(flag):
+    """(M_s^*, ..., M_1^*): the duals in reverse order, again a flag."""
+    return flag_from_constituents(
+        [m.dual() for m in reversed(flag.constituents)])
+
+
+class TestFlagIdentities:
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)))
+    def test_value_at_one_one_counts_the_flag_polytope(self, flag):
+        table = polymatroid_of_flag(flag).rank_table
+        assert sum(k_tutte(flag).terms.values()) == \
+            count_lattice_points_of_table(flag.n, table)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)))
+    def test_dual_flag_swaps_x_and_y(self, flag):
+        swapped = {(j, i): c for (i, j), c in k_tutte(flag).terms.items()}
+        assert k_tutte(dual_flag(flag)) == LaurentPoly(2, swapped)

@@ -13,8 +13,6 @@ from math import comb
 
 from .errors import FitMismatch, Verdict
 from .laurent import LaurentPoly
-from .lattice import (base_polytope, count_shifted, lattice_points,
-                      polytope_from_lattice_points, poly_base_polytope)
 from .polyflag import Polymatroid
 
 
@@ -125,6 +123,7 @@ def q_coefficients(p):
     integer grid {0..n-1}^2 by iterated finite differences (the binomial
     basis is unitriangular there) and verifies the fit on {0..n+1}^2.
     """
+    from .lattice import count_shifted
     n = p.n
     counts = {}
     for t in range(n + 2):
@@ -155,6 +154,7 @@ def qprime(p):
 
 
 def qprime_of_polymatroid(p):
+    from .lattice import poly_base_polytope
     return qprime(poly_base_polytope(p))
 
 
@@ -164,6 +164,7 @@ def ttoq_check(matroid):
     (x+y-1) Q'(x,y) must equal
     sum_S (x-1)^{cork S} (y-1)^{null S} x^{|E|-|S|-cork S} y^{r(S)}.
     """
+    from .lattice import base_polytope
     qp = qprime(base_polytope(matroid))
     lhs = LaurentPoly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1}) * qp
     rhs = LaurentPoly.zero(2)
@@ -210,6 +211,8 @@ def slice_polytopes(p, a):
     Entries are None where the slice is empty.  The coordinate a is
     constant on each slice and dropped so the slices live in R^{E-a}.
     """
+    from .lattice import (lattice_points, polytope_from_lattice_points,
+                          poly_base_polytope)
     poly = poly_base_polytope(p)
     pts = lattice_points(poly)
     out = []

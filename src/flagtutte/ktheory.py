@@ -33,11 +33,13 @@ only; the multivariate GKM check on the localization class is the
 certificate.
 """
 
+from math import factorial, prod
+
 from .errors import (BadWeights, CheckFailed, InexactDivision, OutOfRange,
                      ParseError, SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, binomial_fraction_sum
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
-from .matroid import uniform_matroid
+from .matroid import MAX_ORDERING_ELEMENTS, uniform_matroid
 from .polyflag import FlagMatroid, enumerate_flags, flag_weight
 
 
@@ -101,8 +103,16 @@ class FlagSpace:
 
     def fixed_points(self):
         """All set-flags over the distinct ranks, sorted: the basis flags
-        of the flag of uniform matroids of these ranks."""
+        of the flag of uniform matroids of these ranks.  OutOfRange, before
+        any is listed, when there are more than 10! of them
+        (:data:`flagtutte.matroid.MAX_ORDERING_ELEMENTS`)."""
         if self._fixed is None:
+            levels = (0,) + self.distinct_ranks + (self.n,)
+            count = factorial(self.n) // prod(
+                factorial(b - a) for a, b in zip(levels, levels[1:]))
+            if count > factorial(MAX_ORDERING_ELEMENTS):
+                raise OutOfRange(f"{self} has {count} fixed points; the "
+                                 f"limit is {MAX_ORDERING_ELEMENTS}!")
             self._fixed = tuple(enumerate_flags(FlagMatroid(
                 self.n, [uniform_matroid(k, self.n) for k in self.ranks])))
         return self._fixed

@@ -45,8 +45,9 @@ from math import ceil, floor
 from .errors import (CheckFailed, NegativeShift, NoDecomposition, NotAVertex,
                      NotPointed, OutOfRange, Verdict)
 from . import linalg
-from .laurent import (KRational, LaurentPoly, _poly_product, _vadd, _vsub,
+from .laurent import (KRational, LaurentPoly, _vadd, _vsub,
                       binomial_fraction_sum)
+from .matroid import guard_orderings
 from .polyflag import (_greedy_vertex, enumerate_flags, flag_weight,
                        polymatroid_of_flag)
 
@@ -119,7 +120,9 @@ def _gp_contains(n, z, point):
 
 
 def _gp_vertices(n, z):
-    """All greedy vectors over the n! orderings (the vertex set)."""
+    """All greedy vectors over the n! orderings (the vertex set);
+    OutOfRange for n > :data:`flagtutte.matroid.MAX_ORDERING_ELEMENTS`."""
+    guard_orderings(n)
     return sorted({_greedy_vertex(n, z, order)
                    for order in itertools.permutations(range(n))})
 
@@ -741,7 +744,7 @@ def hilbert_numerator(cone, denom):
                 left.append(g)
         points = LaurentPoly(n, {b if b else (0,) * n: 1
                                  for b in piece.parallelepiped_points()})
-        terms.append((points * _poly_product(n, rest), left))
+        terms.append((points.times_one_minus(rest), left))
     return binomial_fraction_sum(n, terms)
 
 

@@ -9,12 +9,26 @@ happen factor by factor and stay exact.  Every division and every
 congruence is against such a binomial, so it is named by its direction a:
 :meth:`LaurentPoly.exact_divide` takes running sums along the lines
 r + Z*a, exact iff every line sums to zero, and :meth:`LaurentPoly.residue`
-is the image in Z[t^±]/(1 - t^a), the line sums.  A sum of such fractions
-that must come out a Laurent polynomial, as the vertex-cone numerators and
-the pushforward fibers do, is taken over one common denominator whose
-factors are divided off at the end (:func:`binomial_fraction_sum`).  A
-ring map t_i -> z^{w_i} (:meth:`LaurentPoly.specialize`) takes a
-polynomial to one variable, where the same arithmetic runs on 1-tuples.
+is the image in Z[t^±]/(1 - t^a), the line sums.  A product with
+binomials is taken one factor at a time, without expanding their product
+(:meth:`LaurentPoly.times_one_minus`).  A sum of such fractions that must
+come out a Laurent polynomial, as the vertex-cone numerators and the
+pushforward fibers do, is taken over one common denominator whose factors
+are divided off at the end (:func:`binomial_fraction_sum`).  A ring map
+t_i -> z^{w_i} (:meth:`LaurentPoly.specialize`) takes a polynomial to one
+variable, where the same arithmetic runs on plain integer exponents.
+
+Inside a polynomial each monomial is keyed by one int.  In one variable
+the key is the exponent itself.  In n > 1 variables the key of e is
+sum_i (e_i + 2^31) << 32*i, so a product of monomials is k1 + k2 minus the
+key of t^0, the shift by t^a adds Delta(a) = sum_i a_i << 32*i, and the
+line r + Z*a is key - k*Delta(a).  Each polynomial carries a bound on
+max |e_i|, kept up to date in O(1) by every operation; in n > 1
+variables, a bound past 2^31 - 1 raises CheckFailed before any key could
+wrap into its neighbouring coordinate.  One variable has no such range.
+Exponent vectors are tuples at the boundary: the constructor takes them,
+and :attr:`LaurentPoly.terms` and :meth:`LaurentPoly.sorted_terms` give
+them back.
 """
 
 import operator
@@ -33,36 +47,92 @@ def _vsub(a, b):
     return tuple(map(operator.sub, a, b))
 
 
-def _along(e, support, k):
-    """e + k*a for the vector a whose nonzero entries are (i, a_i) in
-    `support`."""
-    out = list(e)
-    for i, x in support:
-        out[i] += k * x
-    return tuple(out)
+_BITS = 32
+_BIAS = 1 << (_BITS - 1)
+_MASK = (1 << _BITS) - 1
+_LIMIT = _BIAS - 1   # the largest |e_i| a key holds in n > 1 variables
+_OFFSETS = {}        # n -> the key of t^0
+
+
+def _offset(n):
+    off = _OFFSETS.get(n)
+    if off is None:
+        off = _OFFSETS[n] = 0 if n == 1 else sum(
+            _BIAS << _BITS * i for i in range(n))
+    return off
+
+
+def _delta(a):
+    """Delta(a): adding it to a key multiplies the monomial by t^a."""
+    return sum(x << _BITS * i for i, x in enumerate(a))
+
+
+def _unpack(n, key):
+    if n == 1:
+        return (key,)
+    return tuple(((key >> _BITS * i) & _MASK) - _BIAS for i in range(n))
+
+
+def _in_range(nvars, bound, what):
+    """CheckFailed when exponents up to `bound` do not fit a key."""
+    if nvars > 1 and bound > _LIMIT:
+        raise CheckFailed("laurent", f"{what} may have an exponent beyond "
+                          f"the packing range +-{_LIMIT}", bound)
+
+
+def _norm(a):
+    return max(map(abs, a), default=0)
+
+
+def _add_into(keys, other):
+    """keys += other, on packed keys, dropping the zero coefficients."""
+    for k, c in other.items():
+        v = keys.get(k, 0) + c
+        if v:
+            keys[k] = v
+        else:
+            del keys[k]
 
 
 class LaurentPoly:
-    """Integer-coefficient Laurent polynomial, sparse exponent-dict form."""
+    """Integer-coefficient Laurent polynomial: a dict from packed
+    monomial keys to nonzero coefficients, and a bound on max |e_i|."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_keys", "_bound")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
+        """From {exponent vector: coefficient}; zero coefficients are
+        dropped.  DimensionMismatch for a vector of another length than
+        nvars, CheckFailed for an exponent outside the packing range."""
+        keys, bound = {}, 0
         if terms:
+            off = _offset(nvars)
             for e, c in terms.items():
                 if c:
-                    self.terms[tuple(e)] = c
+                    e = tuple(e)
+                    if len(e) != nvars:
+                        raise DimensionMismatch(
+                            f"exponent {e} in {nvars} variables")
+                    bound = max(bound, _norm(e))
+                    keys[off + _delta(e)] = c
+        _in_range(nvars, bound, "an exponent vector")
+        self.nvars, self._keys, self._bound = nvars, keys, bound
+
+    @classmethod
+    def _make(cls, nvars, keys, bound):
+        """From packed keys with nonzero coefficients, not validated."""
+        p = object.__new__(cls)
+        p.nvars, p._keys, p._bound = nvars, keys, bound
+        return p
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return cls._make(nvars, {}, 0)
 
     @classmethod
     def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls._make(nvars, {_offset(nvars): 1}, 0)
 
     @classmethod
     def monomial(cls, exp, coeff=1):
@@ -72,52 +142,66 @@ class LaurentPoly:
     def one_minus(cls, exp):
         """The binomial 1 - t^exp."""
         exp = tuple(exp)
-        zero = (0,) * len(exp)
-        if exp == zero:
+        if not any(exp):
             return cls.zero(len(exp))
-        return cls(len(exp), {zero: 1, exp: -1})
+        return cls(len(exp), {(0,) * len(exp): 1, exp: -1})
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient}, unpacked from the keys into a
+        new dict on each call; changing it leaves the polynomial as is."""
+        n = self.nvars
+        return {_unpack(n, k): c for k, c in self._keys.items()}
 
     # -- ring structure ---------------------------------------------------
     def _check(self, other):
         if self.nvars != other.nvars:
             raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
 
+    def _check_exp(self, a):
+        if len(a) != self.nvars:
+            raise DimensionMismatch(f"{self.nvars} variables vs {a}")
+
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = terms.get(e, 0) + c
-            if v:
-                terms[e] = v
-            else:
-                terms.pop(e, None)
-        return LaurentPoly(self.nvars, terms)
+        keys = dict(self._keys)
+        _add_into(keys, other._keys)
+        return LaurentPoly._make(self.nvars, keys,
+                                 max(self._bound, other._bound))
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(
+            self.nvars, {k: -c for k, c in self._keys.items()}, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.nvars,
-                               {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return LaurentPoly.zero(self.nvars)
+            return LaurentPoly._make(
+                self.nvars, {k: c * other for k, c in self._keys.items()},
+                self._bound)
         self._check(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
+        bound = self._bound + other._bound
+        _in_range(self.nvars, bound, "a product")
+        if len(self._keys) > len(other._keys):
+            big, small = self._keys, other._keys
         else:
-            big, small = other.terms, self.terms
-        terms = {}
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                key = _vadd(e1, e2)
-                v = terms.get(key, 0) + c1 * c2
+            big, small = other._keys, self._keys
+        off = _offset(self.nvars)
+        keys = {}
+        for k1, c1 in small.items():
+            k1 -= off
+            for k2, c2 in big.items():
+                key = k1 + k2
+                v = keys.get(key, 0) + c1 * c2
                 if v:
-                    terms[key] = v
+                    keys[key] = v
                 else:
-                    del terms[key]
-        return LaurentPoly(self.nvars, terms)
+                    del keys[key]
+        return LaurentPoly._make(self.nvars, keys, bound)
 
     __rmul__ = __mul__
 
@@ -135,30 +219,65 @@ class LaurentPoly:
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly)
-                and self.nvars == other.nvars and self.terms == other.terms)
+                and self.nvars == other.nvars and self._keys == other._keys)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._keys.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self._keys
 
     def specialize(self, weights):
         """The image under the ring map t_i -> z^{w_i}, a polynomial in z."""
-        if len(weights) != self.nvars:
-            raise DimensionMismatch(
-                f"need {self.nvars} weights, got {len(weights)}")
+        n = self.nvars
+        if len(weights) != n:
+            raise DimensionMismatch(f"need {n} weights, got {len(weights)}")
+        if n == 1:
+            fields, start = [(0, -1, weights[0])], 0
+        else:
+            fields = [(_BITS * i, _MASK, w) for i, w in enumerate(weights)]
+            start = -_BIAS * sum(weights)
         uni = {}
-        for e, c in self.terms.items():
-            d = sum(map(operator.mul, e, weights))
+        for k, c in self._keys.items():
+            d = start
+            for shift, mask, w in fields:
+                d += ((k >> shift) & mask) * w
             uni[d] = uni.get(d, 0) + c
-        return LaurentPoly(1, {(d,): c for d, c in uni.items()})
+        keys = {d: c for d, c in uni.items() if c}
+        return LaurentPoly._make(1, keys, _norm(keys))
 
     def shift(self, exp):
         """Multiply by the monomial t^exp."""
-        exp = tuple(exp)
-        return LaurentPoly(self.nvars,
-                           {_vadd(e, exp): c for e, c in self.terms.items()})
+        self._check_exp(exp)
+        bound = self._bound + _norm(exp)
+        _in_range(self.nvars, bound, "a shift")
+        d = _delta(exp)
+        return LaurentPoly._make(
+            self.nvars, {k + d: c for k, c in self._keys.items()}, bound)
+
+    def times_one_minus(self, exps):
+        """self * prod_{a in exps} (1 - t^a), one binomial at a time.
+
+        Each factor subtracts the running product shifted by t^a from a
+        copy of it, so the product of the binomials, 2^len(exps) terms
+        before cancellation, is never formed.
+        """
+        keys, bound = self._keys, self._bound
+        for a in exps:
+            self._check_exp(a)
+            bound += _norm(a)
+            _in_range(self.nvars, bound, "a product with binomials")
+            d = _delta(a)
+            out = dict(keys)
+            for k, c in keys.items():
+                k += d
+                v = out.get(k, 0) - c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+            keys = out
+        return LaurentPoly._make(self.nvars, keys, bound)
 
     # -- queries ----------------------------------------------------------
     def sorted_terms(self):
@@ -167,24 +286,25 @@ class LaurentPoly:
 
     def subs_one(self):
         """Value at t_1 = ... = t_n = 1."""
-        return sum(self.terms.values())
+        return sum(self._keys.values())
 
     def _lines(self, a):
-        """The support [(i, a_i)] of a, and the map e -> (r, k) with
-        e = r + k*a, where r is the point of the line r + Z*a with
-        0 <= r_p < a_p (or a_p < r_p <= 0) at the first p of the support.
-        ZeroDivisionError for a = 0, as 1 - t^0 = 0."""
-        if len(a) != self.nvars:
-            raise DimensionMismatch(f"{self.nvars} variables vs {a}")
-        support = [(i, x) for i, x in enumerate(a) if x]
-        if not support:
+        """(Delta(a), a_p, shift, mask, bias) for the first p with
+        a_p != 0: a key's line r + Z*a holds it at k*a from its base r,
+        k = (((key >> shift) & mask) - bias) // a_p, with the base the
+        point of the line with 0 <= r_p < a_p (or a_p < r_p <= 0), at
+        key - k*Delta(a).  A base can lie further out than the polynomial,
+        so its range is checked (CheckFailed).  ZeroDivisionError for
+        a = 0, as 1 - t^0 = 0."""
+        self._check_exp(a)
+        pivot = next((i for i, x in enumerate(a) if x), None)
+        if pivot is None:
             raise ZeroDivisionError("division by 1 - t^0 = 0")
-        pivot, step = support[0]
-
-        def line_of(e):
-            k = e[pivot] // step
-            return (_along(e, support, -k) if k else e), k
-        return support, line_of
+        top = _norm(a)
+        _in_range(self.nvars, self._bound * (1 + top) + top, "a line base")
+        if self.nvars == 1:
+            return a[0], a[0], 0, -1, 0
+        return _delta(a), a[pivot], _BITS * pivot, _MASK, _BIAS
 
     def exact_divide(self, a):
         """The quotient self / (1 - t^a) in the Laurent ring, if exact.
@@ -196,11 +316,11 @@ class LaurentPoly:
         sums to zero; the first line that does not raises InexactDivision.
         :meth:`_lex_divide` divides by any polynomial and is the oracle.
         """
-        support, line_of = self._lines(a)
+        d, step, shift, mask, bias = self._lines(a)
         lines = {}
-        for e, c in self.terms.items():
-            base, k = line_of(e)
-            lines.setdefault(base, []).append((k, c))
+        for key, c in self._keys.items():
+            k = (((key >> shift) & mask) - bias) // step
+            lines.setdefault(key - k * d, []).append((k, c))
         quot = {}
         for base, line in lines.items():
             line.sort()
@@ -209,40 +329,46 @@ class LaurentPoly:
                 run += c
                 if run:
                     for j in range(k, k_next):
-                        quot[_along(base, support, j)] = run
+                        quot[base + j * d] = run
             if run + line[-1][1]:
                 raise InexactDivision(
-                    f"the line {base} + Z*{a} does not sum to zero")
-        return LaurentPoly(self.nvars, quot)
+                    f"the line {_unpack(self.nvars, base)} + Z*{a} does not "
+                    f"sum to zero")
+        # a quotient term lies between two terms of self on its line
+        return LaurentPoly._make(self.nvars, quot, self._bound)
 
     def residue(self, a):
         """The image of self in Z[t^±]/(1 - t^a), the group ring of
         Z^n/Za: {r: the sum of self's coefficients on the line r + Z*a}
         over the lines whose sum is not zero, r as in :meth:`_lines`.
+        Each line is keyed by the packed key of r, not by an exponent
+        tuple: a residue is only ever compared with another residue.
 
         1 - u divides a polynomial in u = t^a iff it vanishes at u = 1, so
         1 - t^a divides p - q iff p.residue(a) == q.residue(a), also for a
         direction a that is not primitive.
         """
-        line_of = self._lines(a)[1]
+        d, step, shift, mask, bias = self._lines(a)
         sums = {}
-        for e, c in self.terms.items():
-            base = line_of(e)[0]
+        for key, c in self._keys.items():
+            base = key - (((key >> shift) & mask) - bias) // step * d
             sums[base] = sums.get(base, 0) + c
         return {r: c for r, c in sums.items() if c}
 
     def _lex_divide(self, q):
-        """self / q by leading-term elimination under lex order."""
+        """self / q by leading-term elimination under lex order, on
+        exponent tuples."""
         if self.is_zero():
             return LaurentPoly.zero(self.nvars)
-        lead_q = max(q.terms)
-        lc_q = q.terms[lead_q]
+        terms, q_terms = self.terms, q.terms
+        lead_q = max(q_terms)
+        lc_q = q_terms[lead_q]
         # quotient support is confined to the coordinate-wise Newton box
-        lo = tuple(min(e[i] for e in self.terms) - max(e[i] for e in q.terms)
+        lo = tuple(min(e[i] for e in terms) - max(e[i] for e in q_terms)
                    for i in range(self.nvars))
-        hi = tuple(max(e[i] for e in self.terms) - min(e[i] for e in q.terms)
+        hi = tuple(max(e[i] for e in terms) - min(e[i] for e in q_terms)
                    for i in range(self.nvars))
-        rem = dict(self.terms)
+        rem = terms
         quot = {}
         while rem:
             lead_r = max(rem)
@@ -253,7 +379,7 @@ class LaurentPoly:
             if any(m < l or m > h for m, l, h in zip(mono, lo, hi)):
                 raise InexactDivision("quotient support escapes Newton box")
             quot[mono] = c
-            for e, qc in q.terms.items():
+            for e, qc in q_terms.items():
                 key = _vadd(mono, e)
                 v = rem.get(key, 0) - c * qc
                 if v:
@@ -347,8 +473,8 @@ class KRational:
         if isinstance(other, LaurentPoly):
             other = KRational.from_poly(other)
         lcm = _multiset_max(self.den, other.den)
-        num = (self.num * _poly_product(self.num.nvars, _multiset_sub(lcm, self.den))
-               + other.num * _poly_product(other.num.nvars, _multiset_sub(lcm, other.den)))
+        num = (self.num.times_one_minus(_multiset_sub(lcm, self.den))
+               + other.num.times_one_minus(_multiset_sub(lcm, other.den)))
         return KRational(num, lcm)
 
     def __mul__(self, other):
@@ -364,9 +490,8 @@ class KRational:
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        left = self.num * _poly_product(self.nvars, other.den)
-        right = other.num * _poly_product(self.nvars, self.den)
-        return left == right
+        return (self.num.times_one_minus(other.den)
+                == other.num.times_one_minus(self.den))
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -412,10 +537,7 @@ def _multiset_sub(a, b):
 
 
 def _poly_product(nvars, exps):
-    p = LaurentPoly.one(nvars)
-    for a in exps:
-        p = p * LaurentPoly.one_minus(a)
-    return p
+    return LaurentPoly.one(nvars).times_one_minus(exps)
 
 
 def binomial_fraction_sum(nvars, terms, times=()):
@@ -430,11 +552,15 @@ def binomial_fraction_sum(nvars, terms, times=()):
     common = ()
     for _, den in terms:
         common = _multiset_max(common, den)
-    total = LaurentPoly.zero(nvars)
+    keys, bound = {}, 0
     for num, den in terms:
-        total = total + num * _poly_product(nvars,
-                                            _multiset_sub(common, den))
-    total = total * _poly_product(nvars, times)
+        if num.nvars != nvars:
+            raise DimensionMismatch(f"a term in {num.nvars} variables, "
+                                    f"not {nvars}")
+        part = num.times_one_minus(_multiset_sub(common, den))
+        _add_into(keys, part._keys)
+        bound = max(bound, part._bound)
+    total = LaurentPoly._make(nvars, keys, bound).times_one_minus(times)
     for a in common:
         total = total.exact_divide(a)
     return total

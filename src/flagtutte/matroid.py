@@ -17,6 +17,21 @@ from . import linalg
 # entries, a million at n = 20 and a trillion at n = 40.
 MAX_TABLE_ELEMENTS = 20
 
+# The largest ground set whose n! orderings are walked (vertices of a
+# generalized permutohedron, the Gale test of a flag), and through 10! the
+# most fixed points a flag variety lists: 10! is 3.6 million, 11! is 40
+# million.
+MAX_ORDERING_ELEMENTS = 10
+
+
+def guard_orderings(n):
+    """OutOfRange, before any ordering is made, when n exceeds
+    MAX_ORDERING_ELEMENTS."""
+    if n > MAX_ORDERING_ELEMENTS:
+        raise OutOfRange(f"a walk over the orderings of {n} elements takes "
+                         f"{n}! steps; the limit is "
+                         f"n = {MAX_ORDERING_ELEMENTS}")
+
 
 def _mask(subset):
     m = 0

@@ -16,7 +16,8 @@ from .errors import (AxiomViolation, MismatchedGroundSets, NotConcordant,
                      NotNested, OutOfRange, RankBoundTooSmall, Verdict)
 from . import linalg
 from .matroid import (Matroid, _mask, _positions, check_ordering,
-                      check_rank_axioms, gale_key, matroid_from_matrix)
+                      check_rank_axioms, gale_key, guard_orderings,
+                      matroid_from_matrix)
 
 
 class Polymatroid:
@@ -243,8 +244,10 @@ def flag_check_gale(n, ranks, flags):
     Independent of the concordance theorem: raw dominance test over all n!
     orderings on chains over the distinct ranks.  Raises NotNested on a
     chain that does not increase; the witness of a failure is the
-    offending ordering.
+    offending ordering.  OutOfRange, before the walk, when n exceeds
+    :data:`flagtutte.matroid.MAX_ORDERING_ELEMENTS`.
     """
+    guard_orderings(n)
     flags = list(flags)
     sizes = tuple(sorted(set(ranks)))
     for chain in flags:

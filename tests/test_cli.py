@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,10 @@ from flagtutte.cli import COMMANDS, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EMPTY_POLYMATROID = {"type": "polymatroid", "n": 0, "rank": [0]}
+# rank min(|S|, 2) on 11 elements: its vertices take 11! orderings
+ELEVEN_POLYMATROID = {"type": "polymatroid", "n": 11,
+                      "rank": [min(bin(m).count("1"), 2)
+                               for m in range(1 << 11)]}
 
 
 def run(capsys, *argv):
@@ -248,6 +253,8 @@ class TestBadInput:
          "SchemaError"),
         ("polytope", {"type": "matroid", "n": 40, "bases": [[0]]}, [],
          "OutOfRange"),
+        ("polytope", ELEVEN_POLYMATROID, [], "OutOfRange"),
+        ("qprime", ELEVEN_POLYMATROID, [], "OutOfRange"),
     ])
     def test_exits_one_with_report(self, capsys, tmp_path, verb, doc, extra,
                                    error):
@@ -258,6 +265,17 @@ class TestBadInput:
         code, report = run_json(capsys, verb, path, *extra)
         assert code == 1
         assert report["ok"] is False and report["error"] == error
+
+    @pytest.mark.parametrize("verb", ["polytope", "qprime"])
+    def test_ordering_walk_refused_before_it_starts(self, capsys, tmp_path,
+                                                    verb):
+        # 11! orderings would take minutes; the limit answers at once
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(ELEVEN_POLYMATROID))
+        start = time.process_time()
+        code, report = run_json(capsys, verb, path)
+        assert time.process_time() - start < 1
+        assert code == 1 and report["error"] == "OutOfRange"
 
     @pytest.mark.parametrize("verb, doc, detail", [
         ("quotient", {"type": "matroid_pair", "N": "u24", "M": {}},

@@ -15,7 +15,8 @@ from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
                                pushforward_to_pp, to_nonequivariant, y_class)
 from flagtutte.lattice import count_lattice_points_of_table
 from flagtutte.laurent import KRational, LaurentPoly, _poly_product
-from flagtutte.matroid import matroid_from_matrix, uniform_matroid
+from flagtutte.matroid import (matroid_from_bases, matroid_from_matrix,
+                               uniform_matroid)
 from flagtutte.polyflag import (flag_from_constituents,
                                 flag_from_subspace_flag, polymatroid_of_flag)
 
@@ -206,6 +207,12 @@ class TestFlagSpace:
     def test_weight_counts_multiplicity(self):
         space = FlagSpace(4, (1, 1, 2))
         assert space.weight_vector(((0,), (0, 1))) == (3, 1, 0, 0)
+
+    def test_fixed_points_past_ten_factorial_are_refused(self):
+        # 11! complete flags; Fl(3; 11) has only C(11, 3) = 165
+        with pytest.raises(OutOfRange):
+            FlagSpace(11, tuple(range(1, 11))).fixed_points()
+        assert len(FlagSpace(11, (3,)).fixed_points()) == 165
 
     def test_bad_ranks(self):
         with pytest.raises(SpaceMismatch):
@@ -673,6 +680,15 @@ def dual_flag(flag):
         [m.dual() for m in reversed(flag.constituents)])
 
 
+def direct_sum(flag, other):
+    """Constituent by constituent: the bases B + (C shifted by flag.n)."""
+    n = flag.n
+    return flag_from_constituents([
+        matroid_from_bases(n + other.n, [tuple(b) + tuple(c + n for c in d)
+                                         for b in m.bases for d in o.bases])
+        for m, o in zip(flag.constituents, other.constituents)])
+
+
 class TestFlagIdentities:
     @settings(max_examples=25, deadline=None)
     @given(st.one_of(matrix_flags(5), subspace_flags(5)))
@@ -686,3 +702,12 @@ class TestFlagIdentities:
     def test_dual_flag_swaps_x_and_y(self, flag):
         swapped = {(j, i): c for (i, j), c in k_tutte(flag).terms.items()}
         assert k_tutte(dual_flag(flag)) == LaurentPoly(2, swapped)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda s: st.tuples(*[
+        subspace_flags(3).filter(lambda f: len(f.constituents) == s)] * 2)))
+    def test_direct_sum_multiplies(self, pair):
+        # pairs of one or of two constituents each, n = 6 in all
+        flag, other = pair
+        assert k_tutte(direct_sum(flag, other)) == \
+            k_tutte(flag) * k_tutte(other)

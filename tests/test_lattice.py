@@ -80,6 +80,11 @@ class TestBasePolytopes:
             chain for chain in FlagSpace(n, f.ranks).fixed_points()
             if all(by_rank[len(part)].is_basis(part) for part in chain)]
 
+    def test_vertex_walk_refused_past_ten_elements(self):
+        z = [min(bin(m).count("1"), 2) for m in range(1 << 11)]
+        with pytest.raises(OutOfRange):
+            _gp_vertices(11, z)
+
     def test_point_polytope(self):
         p = base_polytope(uniform_matroid(1, 1))
         assert p.vertices == ((1,),)

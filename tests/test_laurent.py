@@ -1,13 +1,14 @@
+import operator
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flagtutte.errors import (BadWeights, DimensionMismatch, InexactDivision,
-                              PoleAtOne)
+from flagtutte.errors import (BadWeights, CheckFailed, DimensionMismatch,
+                              InexactDivision, PoleAtOne)
 from flagtutte.laurent import (KRational, LaurentPoly, _poly_product,
-                               binomial_fraction_sum, evaluate_at_one,
-                               format_poly)
+                               _unpack, binomial_fraction_sum,
+                               evaluate_at_one, format_poly)
 
 
 def mono(*exp):
@@ -201,6 +202,156 @@ class TestBinomialDivide:
         num = LaurentPoly(2, {(0, 0): 1, (1, -1): -1, (0, 1): 1})
         with pytest.raises(InexactDivision):
             num.exact_divide((1, -1))
+
+
+# --------------------------------------------- tuple-keyed reference
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    """The product term by term on exponent tuples."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(map(operator.add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_shift(p, a):
+    return {tuple(map(operator.add, e, a)): c for e, c in p.items()}
+
+
+def ref_times_one_minus(p, exps):
+    for a in exps:
+        p = ref_mul(p, ref_add({(0,) * len(a): 1}, {tuple(a): -1}))
+    return p
+
+
+def ref_specialize(p, weights):
+    out = {}
+    for e, c in p.items():
+        d = (sum(map(operator.mul, e, weights)),)
+        out[d] = out.get(d, 0) + c
+    return ref_clean(out)
+
+
+def ref_residue(p, a):
+    """Line sums keyed by the point r of r + Z*a with 0 <= r_p < a_p (or
+    a_p < r_p <= 0) at the first p with a_p != 0."""
+    pivot = next(i for i, x in enumerate(a) if x)
+    out = {}
+    for e, c in p.items():
+        k = e[pivot] // a[pivot]
+        r = tuple(x - k * y for x, y in zip(e, a))
+        out[r] = out.get(r, 0) + c
+    return ref_clean(out)
+
+
+def exponents(n, far=True):
+    """Small exponents, negative ones included, and now and then (when
+    `far`) one far enough out that a key carries or borrows across many
+    bits."""
+    coord = st.integers(-6, 6)
+    if far:
+        coord = coord | st.sampled_from([-(2 ** 20), 2 ** 20 - 1])
+    return st.tuples(*[coord] * n)
+
+
+def term_dicts(n, far=True, max_terms=6):
+    return st.dictionaries(exponents(n, far), st.integers(-4, 4),
+                           max_size=max_terms).map(ref_clean)
+
+
+def packed_cases(extra, far=True):
+    """(n, tuple-keyed terms p and q, extra(n)) for n in 1..4."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), term_dicts(n, far), term_dicts(n, far), extra(n)))
+
+
+class TestPackedKeys:
+    """The packed-key arithmetic against the tuple-keyed reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_cases(lambda n: st.lists(exponents(n), max_size=3)))
+    def test_ring_operations(self, case):
+        n, p, q, exps = case
+        pp, qq = LaurentPoly(n, p), LaurentPoly(n, q)
+        assert pp.terms == p
+        assert (pp + qq).terms == ref_add(p, q)
+        assert (pp - qq).terms == ref_add(p, {e: -c for e, c in q.items()})
+        assert (pp * qq).terms == ref_mul(p, q)
+        assert pp.times_one_minus(exps).terms == ref_times_one_minus(p, exps)
+        for a in exps:
+            assert pp.shift(a).terms == ref_shift(p, a)
+        assert pp.sorted_terms() == sorted(p.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_cases(lambda n: st.tuples(*[st.integers(-9, 9)] * n)))
+    def test_specialize(self, case):
+        n, p, _, weights = case
+        assert LaurentPoly(n, p).specialize(weights).terms == \
+            ref_specialize(p, weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_cases(lambda n: directions(n).filter(any), far=False),
+           st.booleans())
+    def test_residue_and_exact_divide(self, case, multiple):
+        # small exponents only: the lex oracle walks the whole Newton box
+        n, p, q, a = case
+        num = LaurentPoly(n, p)
+        if multiple:
+            num = num.times_one_minus([a])
+        assert fast_quotient(num, a) == lex_quotient(num, a)
+        ref = ref_residue(num.terms, a)
+        assert {_unpack(n, r): c for r, c in num.residue(a).items()} == ref
+        other = LaurentPoly(n, q)
+        assert (num.residue(a) == other.residue(a)) == \
+            (ref == ref_residue(q, a))
+
+    def test_wrong_length_exponents_raise(self):
+        with pytest.raises(DimensionMismatch):
+            LaurentPoly(2, {(1, 2, 3): 1})
+        with pytest.raises(DimensionMismatch):
+            LaurentPoly.one(2).shift((1, 2, 3))
+        with pytest.raises(DimensionMismatch):
+            LaurentPoly.one(2).times_one_minus([(1, 2, 3)])
+        with pytest.raises(DimensionMismatch):
+            LaurentPoly.one(2) * LaurentPoly.one_minus((1, 2, 3))
+
+    def test_exponents_outside_the_packing_range_raise(self):
+        top = 2 ** 31 - 1
+        edge = LaurentPoly(2, {(top, -top): 3})
+        assert edge.terms == {(top, -top): 3}
+        for bad in (2 ** 31, -(2 ** 31)):
+            with pytest.raises(CheckFailed):
+                LaurentPoly(2, {(0, bad): 1})
+        half = LaurentPoly(3, {(0, 2 ** 30, 0): 1})
+        with pytest.raises(CheckFailed):
+            half * half
+        with pytest.raises(CheckFailed):
+            edge.shift((0, 1))
+        with pytest.raises(CheckFailed):
+            edge.times_one_minus([(1, 0)])
+        with pytest.raises(CheckFailed):   # a line base lies further out
+            half.residue((0, 1, 1))
+
+    def test_one_variable_has_no_range(self):
+        big = 2 ** 70
+        p = LaurentPoly(1, {(big,): 1, (-big,): 2})
+        assert (p * p).terms == {(2 * big,): 1, (0,): 4, (-2 * big,): 4}
+        assert p.shift((big,)).terms == {(2 * big,): 1, (0,): 2}
+        assert p.times_one_minus([(big,)]).exact_divide((big,)) == p
+        assert p.residue((3,)) == {big % 3: 1, -big % 3: 2}
 
 
 class TestKRational:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from flagtutte.errors import (AxiomViolation, NotConcordant, NotNested,
-                              RankBoundTooSmall)
+                              OutOfRange, RankBoundTooSmall)
 from flagtutte.matroid import gale_max, matroid_from_matrix, uniform_matroid
 from flagtutte.polyflag import (enumerate_flags, flag_check_gale,
                                 flag_from_constituents,
@@ -164,6 +164,10 @@ class TestFlagGale:
 
     def test_single_flag_passes(self):
         assert flag_check_gale(3, (1, 2), [((0,), (0, 1))])
+
+    def test_eleven_elements_are_refused_before_the_walk(self):
+        with pytest.raises(OutOfRange):
+            flag_check_gale(11, (1,), [((0,),)])
 
     def test_all_concordant_fixtures_pass(self, fixtures_n5):
         pairs = [("u13", "u23"), ("u12", "u12"), ("u14", "u24")]

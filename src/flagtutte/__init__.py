@@ -25,13 +25,13 @@ _NAMES = {
                  "polymatroid_from_matroid", "polymatroid_from_rank",
                  "polymatroid_from_subspaces", "polymatroid_of_flag",
                  "polymatroid_to_matroid", "vertex_from_ordering"),
-    "laurent": ("KRational", "LaurentPoly", "evaluate_at_one"),
+    "laurent": ("LaurentPoly",),
     "lattice": ("HalfOpenSimplicialCone", "LatticePolytope", "RationalCone",
                 "base_polytope", "cone_at_vertex", "count_shifted",
                 "decompose_lattice_point", "edge_direction_check", "edges",
-                "flag_polytope", "hilbert_numerator", "hilbert_series",
-                "is_normal", "lattice_points", "minkowski_sum",
-                "poly_base_polytope", "triangulate"),
+                "flag_polytope", "hilbert_numerator", "is_normal",
+                "lattice_points", "minkowski_sum", "poly_base_polytope",
+                "triangulate"),
     "invariants": ("characteristic_poly", "log_concavity", "q_coefficients",
                    "qprime", "qprime_delcon_check", "ttoq_check",
                    "tutte_activity", "tutte_delcon", "tutte_eval",
@@ -39,6 +39,7 @@ _NAMES = {
     "ktheory": ("EquivariantClass", "FlagSpace", "ProjProductSpace",
                 "k_tutte", "o1_class", "pullback", "pushforward_to_pp",
                 "to_nonequivariant", "y_class"),
+    "oracle": ("KRational", "evaluate_at_one", "hilbert_series"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items()
               for name in names}

@@ -7,6 +7,11 @@ weights of the cocharacter that ``ktutte`` and ``charpoly`` run k_tutte
 along (``--weights``; ``yclass`` only checks them, BadWeights otherwise).
 Exit codes: 0 success, 1 domain error (with a machine-readable report),
 2 usage error.
+
+Each verb imports what it runs when it runs, so a call compiles only the
+modules of its verb: ``check`` needs no polytope, Laurent or localization
+code, and a usage error loads nothing beyond this module and
+:mod:`flagtutte.errors`.
 """
 
 import argparse
@@ -14,17 +19,6 @@ import json
 import sys
 
 from .errors import FlagTutteError
-from . import fileio
-from .invariants import (_from_shifted, characteristic_poly, format_bivar,
-                         log_concavity, q_coefficients, tutte_activity,
-                         tutte_delcon, tutte_rank_nullity)
-from .ktheory import (EquivariantClass, FlagSpace, format_chain, k_tutte,
-                      parse_chain, y_class)
-from .lattice import (base_polytope, edges, is_normal, lattice_points,
-                      poly_base_polytope)
-from .laurent import format_poly
-from .matroid import Matroid, cover_by_independent, union_rank
-from .polyflag import FlagMatroid, Polymatroid, quotient_witness
 
 
 def _emit(payload, args):
@@ -55,12 +49,16 @@ def _emit_text(payload, indent=""):
 
 
 def _poly_payload(p):
+    from . import fileio
+    from .invariants import format_bivar
     out = fileio.bivar_to_json(p)
     out["pretty"] = format_bivar(p)
     return out
 
 
 def _object_summary(obj):
+    from .matroid import Matroid
+    from .polyflag import FlagMatroid, Polymatroid
     if isinstance(obj, Matroid):
         return {"kind": "matroid", "n": obj.n, "rank": obj.k,
                 "bases": len(obj.bases)}
@@ -75,6 +73,7 @@ def _object_summary(obj):
 
 
 def cmd_check(args):
+    from . import fileio
     obj = fileio.load_object(args.input)
     payload = {"ok": True}
     payload.update(_object_summary(obj))
@@ -82,6 +81,8 @@ def cmd_check(args):
 
 
 def cmd_tutte(args):
+    from . import fileio
+    from .invariants import tutte_activity, tutte_delcon, tutte_rank_nullity
     m = fileio.as_matroid(fileio.load_object(args.input))
     routes = {"rank": tutte_rank_nullity, "delcon": tutte_delcon,
               "activity": tutte_activity}
@@ -95,6 +96,8 @@ def cmd_tutte(args):
 
 
 def cmd_ktutte(args):
+    from . import fileio
+    from .ktheory import k_tutte
     f = fileio.as_flag_matroid(fileio.load_object(args.input))
     poly = k_tutte(f, args.weights)
     payload = _poly_payload(poly)
@@ -104,6 +107,9 @@ def cmd_ktutte(args):
 
 
 def cmd_charpoly(args):
+    from . import fileio
+    from .invariants import characteristic_poly, log_concavity
+    from .ktheory import k_tutte
     f = fileio.as_flag_matroid(fileio.load_object(args.input))
     poly = k_tutte(f, args.weights)
     chi = characteristic_poly(poly, sum(f.ranks))
@@ -114,6 +120,9 @@ def cmd_charpoly(args):
 
 
 def cmd_qprime(args):
+    from . import fileio
+    from .invariants import _from_shifted, q_coefficients
+    from .lattice import poly_base_polytope
     p = fileio.as_polymatroid(fileio.load_object(args.input))
     coeffs = q_coefficients(poly_base_polytope(p))
     payload = _poly_payload(_from_shifted(coeffs))
@@ -123,6 +132,10 @@ def cmd_qprime(args):
 
 
 def cmd_polytope(args):
+    from . import fileio
+    from .lattice import (base_polytope, edges, is_normal, lattice_points,
+                          poly_base_polytope)
+    from .matroid import Matroid
     obj = fileio.load_object(args.input)
     if isinstance(obj, Matroid):
         p = base_polytope(obj)
@@ -142,6 +155,10 @@ def cmd_polytope(args):
 
 
 def cmd_yclass(args):
+    from . import fileio
+    from .ktheory import (EquivariantClass, FlagSpace, format_chain,
+                          parse_chain, y_class)
+    from .laurent import format_poly
     f = fileio.as_flag_matroid(fileio.load_object(args.input))
     if args.weights:  # only checked, before any cone is built
         EquivariantClass(FlagSpace(f.n, f.ranks), {}).specialize(args.weights)
@@ -160,6 +177,8 @@ def cmd_yclass(args):
 
 
 def cmd_quotient(args):
+    from . import fileio
+    from .polyflag import quotient_witness
     pair = fileio.load_object(args.input)
     if not isinstance(pair, tuple):
         raise FlagTutteError("quotient needs a matroid_pair document")
@@ -171,6 +190,8 @@ def cmd_quotient(args):
 
 
 def cmd_union(args):
+    from . import fileio
+    from .matroid import cover_by_independent, union_rank
     matroids = fileio.load_object(args.input)
     if not isinstance(matroids, list):
         raise FlagTutteError("union needs a matroid_list document")

@@ -7,6 +7,7 @@ and stringifies coefficients so arbitrary precision survives any consumer.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ParseError, SchemaError
@@ -18,13 +19,16 @@ from .polyflag import FlagMatroid, Polymatroid, flag_from_constituents, \
 
 def load_document(path):
     """The JSON value in the UTF-8 file at `path`; ParseError if the file
-    cannot be read, is not UTF-8, is not JSON or nests too deeply."""
+    cannot be read, is not UTF-8, is not JSON, nests too deeply or holds an
+    integer longer than the interpreter converts from a string."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is the
+    # refusal of an integer past the int-to-string digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -43,10 +47,26 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# A rational string may have at most this many digits and an exponent of
+# at most this magnitude: Fraction("1e100000000") builds a 10^(10^8).
+MAX_RATIONAL_DIGITS = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)")
+
+
 def _is_rational(x):
-    """An int, a finite float or a string such as "-3/4"."""
+    """An int, a finite float or a string such as "-3/4".  SchemaError for
+    a string with more than :data:`MAX_RATIONAL_DIGITS` digits or an
+    exponent beyond it, before any number is built from the string."""
     if not isinstance(x, (int, float, str)) or isinstance(x, bool):
         return False
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if (sum(map(str.isdigit, x)) > MAX_RATIONAL_DIGITS
+                or exponent and abs(int(exponent[1])) > MAX_RATIONAL_DIGITS):
+            raise SchemaError(
+                f"rational {x[:40]!r} has more than {MAX_RATIONAL_DIGITS} "
+                f"digits or an exponent beyond {MAX_RATIONAL_DIGITS}")
     try:
         Fraction(x)
     except (ValueError, OverflowError, ZeroDivisionError):

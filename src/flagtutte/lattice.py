@@ -34,26 +34,19 @@ forests, and a forest is unimodular, so its fundamental parallelepiped
 holds the single point that sums its open generators.  Any other cone is
 triangulated with exact rational nullspaces and its parallelepiped points
 are enumerated through an integer diagonalization of the generator
-matrix; that general path is also the oracle the arc path is tested
-against.
+matrix, by :mod:`flagtutte.oracle`; that general path is also the oracle
+the arc path is tested against, and is imported only when a cone needs it.
 """
 
 import itertools
-from fractions import Fraction
-from math import ceil, floor
 
 from .errors import (CheckFailed, NegativeShift, NoDecomposition, NotAVertex,
                      NotPointed, OutOfRange, Verdict)
 from . import linalg
-from .laurent import (KRational, LaurentPoly, _vadd, _vsub,
-                      binomial_fraction_sum)
+from .laurent import LaurentPoly, _vadd, _vsub, binomial_fraction_sum
 from .matroid import guard_orderings
 from .polyflag import (_greedy_vertex, enumerate_flags, flag_weight,
                        polymatroid_of_flag)
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 class LatticePolytope:
@@ -128,11 +121,17 @@ def _gp_vertices(n, z):
 
 
 def base_polytope(matroid):
-    """Convex hull of the indicator vectors of the bases."""
-    n = matroid.n
-    verts = [tuple(1 if i in set(b) else 0 for i in range(n))
-             for b in matroid.bases]
-    return LatticePolytope(n, verts, matroid.rank_table())
+    """Convex hull of the indicator vectors of the bases.  The rank table
+    comes first, so n past :data:`flagtutte.matroid.MAX_TABLE_ELEMENTS` is
+    OutOfRange before any vertex is built."""
+    z = matroid.rank_table()
+    verts = []
+    for b in matroid.bases:
+        v = [0] * matroid.n
+        for i in b:
+            v[i] = 1
+        verts.append(v)
+    return LatticePolytope(matroid.n, verts, z)
 
 
 def poly_base_polytope(p):
@@ -441,12 +440,14 @@ class HalfOpenSimplicialCone:
         Arcs e_i - e_j are certified to form a forest (else CheckFailed):
         a forest's incidence matrix is totally unimodular, so its one point
         is the sum of its open generators.  Other generators go through
-        the integer diagonalization of :func:`_diagonalized_points`.
+        the integer diagonalization of
+        :func:`flagtutte.oracle._diagonalized_points`.
         """
         if not self.generators:
             return [()]
         arcs = [_arc(g) for g in self.generators]
         if None in arcs:
+            from .oracle import _diagonalized_points
             return _diagonalized_points(self)
         if not _is_forest(arcs):
             raise CheckFailed("parallelepiped points",
@@ -461,122 +462,6 @@ class HalfOpenSimplicialCone:
         marks = ["(" if o else "[" for o in self.open_flags]
         gens = ", ".join(f"{m}{g}" for m, g in zip(marks, self.generators))
         return f"HalfOpenSimplicialCone({gens})"
-
-
-def _diagonalized_points(piece):
-    """Parallelepiped points of any simplicial piece, through residue
-    classes of the generator lattice inside its saturation; the count
-    equals the index (the diagonal product)."""
-    gens, d, n = piece.generators, len(piece.generators), piece.n
-    rows = [[g[i] for g in gens] for i in range(n)]  # n x d
-    pinv, diag = linalg.integer_diagonalize(rows)
-    if len(diag) != d:
-        raise CheckFailed("parallelepiped points",
-                          "generators are linearly dependent", gens)
-    points = []
-    for residue in itertools.product(*[range(di) for di in diag]):
-        x0 = [sum(pinv[i][j] * residue[j] for j in range(d))
-              for i in range(n)]
-        lam = linalg.solve_exact(rows, x0)
-        shifted = []
-        for lj, open_j in zip(lam, piece.open_flags):
-            if open_j:
-                shifted.append(lj - ceil(lj) + 1)   # into (0, 1]
-            else:
-                shifted.append(lj - floor(lj))      # into [0, 1)
-        pt = tuple(sum(sj * gens[j][i] for j, sj in enumerate(shifted))
-                   for i in range(n))
-        if any(Fraction(x).denominator != 1 for x in pt):
-            raise CheckFailed("parallelepiped points",
-                              "point is not integral", pt)
-        points.append(tuple(int(x) for x in pt))
-    if len(set(points)) != len(points):
-        raise CheckFailed("parallelepiped points",
-                          "a residue class repeats", gens)
-    return sorted(points)
-
-
-def _span_coordinates(rays):
-    """Exact coordinates of the rays in the rref basis of their span.
-
-    rref pivot columns are unit columns, so the coordinates of a vector in
-    the row space are just its entries at the pivot columns.
-    """
-    _, pivots = linalg.row_reduce(linalg.frac_rows(rays))
-    return [[Fraction(r[col]) for col in pivots] for r in rays]
-
-
-def _facet_normals_piece(coord_gens):
-    """Inward normals of the facets of a simplicial cone, in span coords."""
-    d = len(coord_gens)
-    normals = []
-    for j in range(d):
-        others = [coord_gens[k] for k in range(d) if k != j]
-        if not others:  # a ray: the facet is the apex
-            normals.append(list(coord_gens[j]))
-            continue
-        ns = linalg.nullspace(others)
-        val = _dot(ns[0], coord_gens[j]) if len(ns) == 1 else 0
-        if val == 0:
-            raise CheckFailed("facet normals",
-                              "generators are linearly dependent", coord_gens)
-        h = ns[0]
-        if val < 0:
-            h = [-x for x in h]
-        normals.append(h)
-    return normals
-
-
-def _facets_of(coord_rays):
-    """Facets of Cone(coord_rays), full-dimensional in its coordinates.
-
-    Returns a list of ray-index frozensets, each the set of rays lying on
-    one supporting hyperplane.  Every facet is spanned by d-1 independent
-    rays, so scanning (d-1)-subsets finds them all.
-    """
-    d = len(coord_rays[0])
-    m = len(coord_rays)
-    facets = set()
-    for subset in itertools.combinations(range(m), d - 1):
-        sub = [coord_rays[i] for i in subset]
-        ns = linalg.nullspace(sub)
-        if len(ns) != 1:
-            continue
-        h = ns[0]
-        vals = [_dot(h, r) for r in coord_rays]
-        if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-            facets.add(frozenset(i for i, v in enumerate(vals) if v == 0))
-    return sorted(facets, key=sorted)
-
-
-def _pulling_triangulation(rays, indices):
-    """Index tuples of a triangulation of Cone(rays), pulling at the first.
-
-    Rays are re-coordinatized into their own span at every level so facet
-    normals are always computed full-dimensionally.
-    """
-    indices = list(indices)
-    coord_rays = _span_coordinates(rays)
-    d = len(coord_rays[0])
-    if len(coord_rays) == d:
-        return [tuple(sorted(indices))]
-    pivot = 0
-    out = []
-    facets = _facets_of(coord_rays)
-    if not facets:
-        raise CheckFailed("pulling triangulation",
-                          "a non-simplicial cone has no facets", rays)
-    for facet in facets:
-        if pivot in facet:
-            continue
-        sub_idx = sorted(facet)
-        sub_rays = [rays[i] for i in sub_idx]
-        for piece in _pulling_triangulation(sub_rays,
-                                            [indices[i] for i in sub_idx]):
-            out.append(tuple(sorted(set(piece) | {indices[pivot]})))
-    if not out:
-        raise CheckFailed("pulling triangulation", "no pieces", rays)
-    return out
 
 
 def _is_forest(arcs):
@@ -679,19 +564,6 @@ def _arc_pieces(rays, arcs):
     return out
 
 
-def _fraction_pieces(rays):
-    """Half-open pieces of the cone over any rays, through exact rational
-    nullspaces; the oracle of :func:`_arc_pieces`."""
-    coords = _span_coordinates(rays)
-    out = []
-    for piece in _pulling_triangulation(rays, range(len(rays))):
-        normals = _facet_normals_piece([coords[i] for i in piece])
-        flags = [_open_by_first_sign([_dot(h, c) for c in coords])
-                 for h in normals]
-        out.append(HalfOpenSimplicialCone([rays[i] for i in piece], flags))
-    return out
-
-
 def triangulate(cone):
     """Disjoint half-open simplicial decomposition of a pointed cone.
 
@@ -701,26 +573,16 @@ def triangulate(cone):
     the sign of the first ray the normal does not vanish on, so the
     pieces partition the cone exactly.  When every ray is an arc
     e_i - e_j the triangulation is combinatorial (:func:`_arc_pieces`);
-    any other cone goes through :func:`_fraction_pieces`.
+    any other cone goes through :func:`flagtutte.oracle._fraction_pieces`.
     """
     rays = cone.rays()
     if not rays:
         return [HalfOpenSimplicialCone((), ())]
     arcs = [_arc(r) for r in rays]
     if None in arcs:
+        from .oracle import _fraction_pieces
         return _fraction_pieces(rays)
     return _arc_pieces(rays, arcs)
-
-
-def hilbert_series(cone):
-    """Exact Hilbert series sum_{a in C cap Z^n} t^a as a KRational.
-
-    The numerator against the extreme rays (:func:`hilbert_numerator`)
-    over those rays.  Raises NotPointed, through
-    :meth:`RationalCone.rays`, when the cone contains a line.
-    """
-    rays = cone.rays()
-    return KRational(hilbert_numerator(cone, rays), rays)
 
 
 def hilbert_numerator(cone, denom):

@@ -2,11 +2,11 @@
 
 A character t^a = t_1^{a_1} ... t_n^{a_n} is an exponent vector a in Z^n;
 a :class:`LaurentPoly` maps exponent vectors to nonzero integer
-coefficients.  A :class:`KRational` keeps its denominator as a multiset of
-exponent vectors, each standing for a binomial factor (1 - t^a) — the only
-denominators the localization formulas ever produce — so cancellation can
-happen factor by factor and stay exact.  Every division and every
-congruence is against such a binomial, so it is named by its direction a:
+coefficients.  The only denominators the localization formulas ever
+produce are products of binomial factors (1 - t^a), kept as a multiset of
+exponent vectors, so cancellation can happen factor by factor and stay
+exact.  Every division and every congruence is against such a binomial,
+so it is named by its direction a:
 :meth:`LaurentPoly.exact_divide` takes running sums along the lines
 r + Z*a, exact iff every line sums to zero, and :meth:`LaurentPoly.residue`
 is the image in Z[t^±]/(1 - t^a), the line sums.  A product with
@@ -32,11 +32,8 @@ them back.
 """
 
 import operator
-from fractions import Fraction
-from math import prod
 
-from .errors import (BadWeights, CheckFailed, DimensionMismatch,
-                     InexactDivision, PoleAtOne)
+from .errors import CheckFailed, DimensionMismatch, InexactDivision
 
 
 def _vadd(a, b):
@@ -415,95 +412,6 @@ def format_poly(p, names=None):
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-class KRational:
-    """Laurent polynomial divided by a multiset of factors (1 - t^a).
-
-    The denominator is stored unexpanded; construction greedily cancels any
-    factor that divides the numerator exactly, so the representation is
-    reduced and a genuine Laurent polynomial always ends with no denominator.
-    The library only builds one (:func:`flagtutte.lattice.hilbert_series`)
-    and evaluates one (:func:`evaluate_at_one`); the sums, products and
-    cross-multiplied equality are the arithmetic of the tests' oracles.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(), reduce=True):
-        den = tuple(tuple(a) for a in den)
-        if any(all(x == 0 for x in a) for a in den):
-            raise ZeroDivisionError("denominator factor 1 - t^0 is zero")
-        if num.is_zero():
-            den = ()
-        elif reduce and den:
-            num, den = self._reduced(num, den)
-        self.num = num
-        self.den = tuple(sorted(den))
-
-    @staticmethod
-    def _reduced(num, den):
-        remaining = []
-        for a in sorted(den):
-            try:
-                num = num.exact_divide(a)
-            except InexactDivision:
-                remaining.append(a)
-        return num, tuple(remaining)
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, ())
-
-    @property
-    def nvars(self):
-        return self.num.nvars
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_laurent(self):
-        return not self.den
-
-    def as_laurent(self):
-        if self.den:
-            raise InexactDivision(
-                f"denominator {list(self.den)} does not cancel")
-        return self.num
-
-    def __add__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = KRational.from_poly(other)
-        lcm = _multiset_max(self.den, other.den)
-        num = (self.num.times_one_minus(_multiset_sub(lcm, self.den))
-               + other.num.times_one_minus(_multiset_sub(lcm, other.den)))
-        return KRational(num, lcm)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            other = KRational.from_poly(other)
-        return KRational(self.num * other.num, self.den + other.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        """Exact equality as rational functions (cross-multiplied)."""
-        if not isinstance(other, KRational):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        return (self.num.times_one_minus(other.den)
-                == other.num.times_one_minus(self.den))
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if not self.den:
-            return f"KRational({format_poly(self.num)})"
-        den = " * ".join(f"(1 - {format_poly(LaurentPoly.monomial(a))})"
-                         for a in self.den)
-        return f"KRational(({format_poly(self.num)}) / {den})"
-
-
 def _multiset_max(a, b):
     """Multiset union-by-maximum of two denominator factor lists."""
     counts = {}
@@ -566,32 +474,3 @@ def binomial_fraction_sum(nvars, terms, times=()):
     return total
 
 
-def evaluate_at_one(f, weights):
-    """Evaluate at t_i -> 1 through the one-parameter subgroup t_i = z^{w_i}.
-
-    No pipeline stage calls it: the values that
-    :func:`flagtutte.ktheory.k_tutte` evaluates are Laurent polynomials,
-    read at 1 by :meth:`LaurentPoly.subs_one`.  It is library API, and the
-    evaluation that a sum of vertex-cone Hilbert series at t = 1 needs
-    (Brion's theorem counts lattice points that way).
-
-    Substitutes, divides the numerator by (1 - z) once for each
-    denominator factor, and evaluates at z = 1, where each factor
-    (1 - z^d) / (1 - z) is d.  Raises BadWeights when a denominator factor
-    collapses to zero identically and PoleAtOne when the numerator vanishes
-    to lower order than the denominator, that is, when a division by
-    (1 - z) is not exact.
-    """
-    if isinstance(f, LaurentPoly):
-        f = KRational.from_poly(f)
-    num = f.num.specialize(weights)  # DimensionMismatch on a wrong length
-    dots = [sum(a_i * w_i for a_i, w_i in zip(a, weights)) for a in f.den]
-    if 0 in dots:
-        raise BadWeights(f"weights {tuple(weights)} kill a denominator factor")
-    for k in range(len(dots)):
-        try:
-            num = num.exact_divide((1,))
-        except InexactDivision:
-            raise PoleAtOne(k, len(dots)) from None
-    value = Fraction(num.subs_one(), prod(dots))
-    return int(value) if value.denominator == 1 else value

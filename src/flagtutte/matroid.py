@@ -424,22 +424,24 @@ def matroid_from_matrix(rows):
 
 
 def matroid_from_graph(edges, vertices=None):
-    """Cycle matroid of a multigraph; bases are maximal spanning forests."""
-    edges = [tuple(e) for e in edges]
+    """Cycle matroid of a multigraph; bases are maximal spanning forests.
+
+    Vertices that no edge touches do not change the matroid, so the
+    union-find runs over the endpoints alone, whatever `vertices` says.
+    """
     seen = {v for e in edges for v in e}
-    nv = max(seen) + 1 if seen else 0
-    if vertices is not None:
-        if seen and max(seen) >= vertices:
-            raise OutOfRange("edge endpoint exceeds vertex count")
-        nv = vertices
+    if vertices is not None and seen and max(seen) >= vertices:
+        raise OutOfRange("edge endpoint exceeds vertex count")
     if seen and min(seen) < 0:
         raise OutOfRange("edge endpoint is negative")
     m = len(edges)
     if m == 0:
         raise OutOfRange("graph needs at least one edge")
+    index = {v: i for i, v in enumerate(sorted(seen))}
+    edges = [(index[u], index[v]) for u, v in edges]
 
     def forest_size(edge_idx):
-        parent = list(range(nv))
+        parent = list(range(len(index)))
 
         def find(x):
             while parent[x] != x:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flagtutte import linalg
+from flagtutte import linalg, oracle
 from flagtutte.cli import main
 from flagtutte.invariants import (characteristic_poly, log_concavity,
                                   ttoq_check, tutte_activity, tutte_delcon,
@@ -22,11 +22,12 @@ from flagtutte.ktheory import (FlagSpace, k_tutte, o1_class, pullback,
                                pushforward_to_pp, y_class)
 from flagtutte.lattice import (base_polytope, cone_at_vertex,
                                decompose_lattice_point, flag_polytope,
-                               hilbert_series, is_normal, lattice_points,
-                               minkowski_sum, triangulate)
-from flagtutte.laurent import KRational, LaurentPoly
+                               is_normal, lattice_points, minkowski_sum,
+                               triangulate)
+from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import gale_leq, gale_max, gale_max_family, \
     uniform_matroid
+from flagtutte.oracle import KRational, hilbert_series
 from flagtutte.polyflag import enumerate_flags, flag_check_gale, \
     flag_from_constituents, is_quotient
 
@@ -225,18 +226,18 @@ def _test_cone_facets(rays):
     normals = set()
     for subset in itertools.combinations(range(len(rays)), d - 1):
         stack = [list(rays[i]) for i in subset]
-        complement = linalg.nullspace([list(r) for r in rays])
+        complement = oracle.nullspace([list(r) for r in rays])
         stack += [[Fraction(x) for x in v] for v in complement]
-        ns = linalg.nullspace(stack)
+        ns = oracle.nullspace(stack)
         if len(ns) != 1:
             continue
-        h = linalg.clear_denominators(ns[0])
+        h = oracle.clear_denominators(ns[0])
         vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
         if all(v >= 0 for v in vals):
             normals.add(h)
         elif all(v <= 0 for v in vals):
             normals.add(tuple(-x for x in h))
-    eqs = [linalg.clear_denominators(v) for v in linalg.nullspace(rays)]
+    eqs = [oracle.clear_denominators(v) for v in oracle.nullspace(rays)]
     return sorted(normals), eqs
 
 

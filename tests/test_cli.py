@@ -82,6 +82,17 @@ class TestTutte:
         assert {(tuple(t["exp"]), t["coeff"]) for t in doc["terms"]} == {
             ((2, 0), "1"), ((1, 0), "2"), ((0, 1), "2"), ((0, 2), "1")}
 
+    def test_vertex_count_does_not_size_the_work(self, capsys, tmp_path):
+        # vertices no edge touches leave the cycle matroid as it is
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"type": "graph", "vertices": 10**9,
+                                    "edges": [[0, 1], [1, 2], [0, 2]]}))
+        start = time.process_time()
+        code, doc = run_json(capsys, "tutte", path)
+        assert time.process_time() - start < 1
+        assert code == 0 and doc["agree"] is True
+        assert doc["rank"]["pretty"] == "x^2 + x + y"
+
 
 class TestKTutte:
     def test_flag_example(self, capsys):
@@ -305,6 +316,39 @@ class TestBadInput:
         code, report = run_json(capsys, "check", path)
         assert code == 1
         assert report["ok"] is False and report["error"] == "ParseError"
+
+    def test_integer_past_the_digit_limit_exits_one(self, capsys, tmp_path):
+        # json refuses it with a ValueError that is not a JSONDecodeError
+        path = tmp_path / "doc.json"
+        path.write_text('{"type": "matroid", "n": ' + "9" * 5000
+                        + ', "bases": [[0]]}')
+        code, report = run_json(capsys, "check", path)
+        assert code == 1
+        assert report["ok"] is False and report["error"] == "ParseError"
+
+    @pytest.mark.parametrize("entry", ["1e10000000", "-2E-10000000",
+                                       "0." + "3" * 2000])
+    def test_huge_rational_string_refused_at_once(self, capsys, tmp_path,
+                                                  entry):
+        # Fraction("1e10000000") alone takes seconds to build its integer;
+        # 2,000 digits are within the int-to-string limit, not the bound
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"type": "matrix", "rows": [[1, entry]]}))
+        start = time.process_time()
+        code, report = run_json(capsys, "check", path)
+        assert time.process_time() - start < 2
+        assert code == 1
+        assert report["ok"] is False and report["error"] == "SchemaError"
+
+    def test_rank_table_refused_before_the_vertices(self, capsys, tmp_path):
+        # the n-long vertex of the one basis is never built
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"type": "matroid", "n": 10**7,
+                                    "bases": [[0]]}))
+        start = time.process_time()
+        code, report = run_json(capsys, "polytope", path)
+        assert time.process_time() - start < 1
+        assert code == 1 and report["error"] == "OutOfRange"
 
     def test_nested_members_are_not_parsed(self, capsys, tmp_path):
         # a member is checked to be a matroid before it is parsed, so

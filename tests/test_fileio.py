@@ -8,8 +8,9 @@ from flagtutte.fileio import (as_flag_matroid, as_polymatroid, bivar_to_json,
                               krational_to_json, laurent_to_json,
                               load_object, matroid_to_json, parse_object,
                               polymatroid_to_json)
-from flagtutte.laurent import KRational, LaurentPoly
+from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import uniform_matroid
+from flagtutte.oracle import KRational
 
 
 class TestParse:

@@ -5,25 +5,26 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagtutte import lattice, linalg
+from flagtutte import lattice, linalg, oracle
 from flagtutte.errors import (CheckFailed, FlagTutteError, InexactDivision,
                               NegativeShift, NoDecomposition, NotAVertex,
                               NotPointed, OutOfRange)
 from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.ktheory import FlagSpace
 from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
-                               RationalCone, _diagonalized_points,
-                               _fraction_pieces, _gp_vertices, base_polytope,
+                               RationalCone, _gp_vertices, base_polytope,
                                cone_at_vertex,
                                count_shifted, decompose_lattice_point,
                                edge_cone,
                                edge_direction_check, edges, flag_polytope,
-                               hilbert_numerator, hilbert_series, is_normal,
+                               hilbert_numerator, is_normal,
                                lattice_points, minkowski_sum,
                                poly_base_polytope,
                                polytope_from_lattice_points, triangulate)
-from flagtutte.laurent import KRational, LaurentPoly
+from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import matroid_from_matrix, uniform_matroid
+from flagtutte.oracle import (KRational, _diagonalized_points,
+                              _fraction_pieces, hilbert_series)
 from flagtutte.polyflag import (enumerate_flags, flag_from_subspace_flag,
                                 polymatroid_of_flag)
 from conftest import m2_rank2
@@ -35,7 +36,7 @@ def piece_membership(piece, point):
     if not piece.generators:
         return all(x == 0 for x in point)
     rows = [[g[i] for g in piece.generators] for i in range(piece.n)]
-    lam = linalg.solve_exact(rows, list(point))
+    lam = oracle.solve_exact(rows, list(point))
     if lam is None:
         return False
     # solve_exact zero-fills free variables; independent generators mean
@@ -107,7 +108,7 @@ class TestBasePolytopes:
         pts = lattice_points(p)
         hull_vertices = [
             q for q in pts
-            if not linalg.in_hull([r for r in pts if r != q], q)
+            if not oracle.in_hull([r for r in pts if r != q], q)
         ]
         assert list(p.vertices) == hull_vertices
 
@@ -343,9 +344,10 @@ class TestArcCones:
         def forbidden(*args):
             raise AssertionError("rational linear algebra ran")
 
-        for name in ("nullspace", "row_reduce", "integer_diagonalize",
-                     "solve_exact"):
-            monkeypatch.setattr(linalg, name, forbidden)
+        for module, name in ((oracle, "nullspace"), (linalg, "row_reduce"),
+                             (oracle, "integer_diagonalize"),
+                             (oracle, "solve_exact")):
+            monkeypatch.setattr(module, name, forbidden)
         for cone, v in zip(cones, p.vertices):
             assert sum(len(q.parallelepiped_points())
                        for q in triangulate(cone)) == 6
@@ -434,7 +436,7 @@ class TestParallelepiped:
                                                        range(-1, 4))
                         if piece_membership(c, pt)
                         and all(l < 1 or (fl and l == 1) for l, fl in zip(
-                            linalg.solve_exact([[1, 1], [0, 2]], list(pt)),
+                            oracle.solve_exact([[1, 1], [0, 2]], list(pt)),
                             flags))]
             assert set(c.parallelepiped_points()) == set(expected)
 

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from flagtutte.errors import (BadWeights, CheckFailed, DimensionMismatch,
                               InexactDivision, PoleAtOne)
-from flagtutte.laurent import (KRational, LaurentPoly, _poly_product,
-                               _unpack, binomial_fraction_sum,
-                               evaluate_at_one, format_poly)
+from flagtutte.laurent import (LaurentPoly, _poly_product, _unpack,
+                               binomial_fraction_sum, format_poly)
+from flagtutte.oracle import KRational, evaluate_at_one
 
 
 def mono(*exp):

@@ -31,7 +31,7 @@ vertex_from_ordering y_class
 """.split()
 
 SUBMODULES = ("cli errors fileio invariants ktheory lattice laurent linalg "
-              "matroid polyflag").split()
+              "matroid oracle polyflag").split()
 
 
 def test_every_exported_name_resolves():
@@ -66,3 +66,51 @@ def test_a_name_loads_only_what_it_needs():
     assert "flagtutte.fileio" in out and "flagtutte.invariants" in out
     assert "flagtutte.lattice" not in out
     assert "flagtutte.ktheory" not in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(flagtutte.__file__).resolve().parents[1]))
+# Runs one CLI call and prints, to stderr so the verb's stdout does not
+# mix in, the flagtutte modules it loaded.
+LOAD_VERB = ("import sys\n"
+             "from flagtutte.cli import main\n"
+             "try:\n"
+             "    main(sys.argv[1:])\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "print(*sorted(m for m in sys.modules\n"
+             "              if m.startswith('flagtutte')), file=sys.stderr)\n")
+NO_CONES = {"lattice", "laurent", "invariants", "ktheory"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ("check fixtures/nonpappus.json", NO_CONES),
+    ("union fixtures/u1_counterexample_family.json", NO_CONES),
+    ("quotient fixtures/pappus8_quotient_pair.json", NO_CONES),
+    ("check fixtures/bad_mixed.json", NO_CONES),
+    ("tutte fixtures/k4.json", {"lattice", "ktheory"}),
+    ("qprime fixtures/subspace_polymatroid.json", {"ktheory"}),
+    ("polytope fixtures/k4.json --kmax=2", {"ktheory", "invariants"}),
+    ("ktutte fixtures/flag_rank12.json", set()),
+    ("charpoly fixtures/flag_rank12.json", set()),
+    ("yclass fixtures/flag_rank12.json", {"invariants"}),
+])
+def test_a_verb_loads_only_what_it_runs(argv, absent):
+    out = subprocess.run([sys.executable, "-c", LOAD_VERB, *argv.split()],
+                         cwd=ROOT, env=CHILD_ENV, check=True,
+                         capture_output=True,
+                         text=True).stderr.splitlines()[-1].split()
+    assert "flagtutte.cli" in out and "flagtutte.fileio" in out
+    assert "flagtutte.oracle" not in out
+    assert not {f"flagtutte.{name}" for name in absent} & set(out)
+
+
+def test_a_usage_error_loads_only_the_front_end():
+    proc = subprocess.run([sys.executable, "-c", LOAD_VERB, "frobnicate",
+                           "fixtures/k4.json"], cwd=ROOT, env=CHILD_ENV,
+                          check=True, capture_output=True, text=True)
+    lines = proc.stderr.splitlines()
+    assert "invalid choice: 'frobnicate'" in lines[-2]
+    assert lines[-1].split() == ["flagtutte", "flagtutte.cli",
+                                 "flagtutte.errors"]

@@ -13,6 +13,7 @@ from math import comb
 
 from .errors import FitMismatch, Verdict
 from .laurent import LaurentPoly
+from .matroid import guard_basis_routes
 from .polyflag import Polymatroid
 
 
@@ -63,7 +64,10 @@ def tutte_rank_nullity(matroid):
 
 
 def tutte_delcon(matroid):
-    """Deletion-contraction recursion on the smallest-index element."""
+    """Deletion-contraction recursion on the smallest-index element, one
+    level per element (OutOfRange past
+    :data:`flagtutte.matroid.MAX_BASIS_ROUTE_ELEMENTS`)."""
+    guard_basis_routes(matroid.n)
     memo = {}
 
     def rec(m):
@@ -85,7 +89,9 @@ def tutte_delcon(matroid):
 
 
 def tutte_activity(matroid):
-    """Basis-activity sum under the natural element order."""
+    """Basis-activity sum under the natural element order (OutOfRange past
+    :data:`flagtutte.matroid.MAX_BASIS_ROUTE_ELEMENTS`)."""
+    guard_basis_routes(matroid.n)
     basis_set = {frozenset(b) for b in matroid.bases}
     ground = set(range(matroid.n))
     counts = Counter()

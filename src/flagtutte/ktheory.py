@@ -10,10 +10,12 @@ The localization class of a flag matroid is zero away from its flags and
 the numerator of the vertex-cone Hilbert series against the chart
 denominator at them.  Multiplying by the Segre-Veronese line-bundle weight
 t^{e_F}, pulling back to the space with ranks (1, k, n-1) and pushing
-forward to the product of two projective spaces (one fiber sum per target
-point, without building the larger space), then solving triangularly
-against the coordinate-subspace classes, one factor at a time, produces the
-bivariate polynomial invariant; every division along the way must be exact.
+forward to the product of two projective spaces (chain by chain: each
+basis flag's own chart, less the pairs of a target chart, gives its term
+at every target point over it, so the larger space is never built), then
+solving triangularly against the coordinate-subspace classes, one factor
+at a time, produces the bivariate polynomial invariant; every division
+along the way must be exact.
 
 Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
 the ring map t_i -> z^{w_i}, for n distinct integers w_i, to the
@@ -35,11 +37,11 @@ certificate.
 
 from math import factorial, prod
 
-from .errors import (BadWeights, CheckFailed, InexactDivision, OutOfRange,
-                     ParseError, SpaceMismatch, Verdict)
+from .errors import (BadWeights, InexactDivision, OutOfRange, ParseError,
+                     SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, binomial_fraction_sum
 from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
-from .matroid import MAX_ORDERING_ELEMENTS, uniform_matroid
+from .matroid import MAX_ORDERING_ELEMENTS, guard_table, uniform_matroid
 from .polyflag import FlagMatroid, enumerate_flags, flag_weight
 
 
@@ -183,10 +185,12 @@ class ProjProductSpace:
         self.n = n
 
     def fixed_points(self):
-        hyperplanes = [tuple(x for x in range(self.n) if x != m)
-                       for m in range(self.n)]
-        return tuple(sorted(((a,), j)
-                            for a in range(self.n) for j in hyperplanes))
+        return tuple(sorted(((a,), self.hyperplane(m))
+                            for a in range(self.n) for m in range(self.n)))
+
+    def hyperplane(self, m):
+        """The coordinate hyperplane missing m."""
+        return tuple(x for x in range(self.n) if x != m)
 
     def missing(self, hyperplane):
         return next(m for m in range(self.n) if m not in set(hyperplane))
@@ -210,9 +214,9 @@ class ProjProductSpace:
                 out.append(((line, hp), ((b,), hp), (a, b)))
             m = self.missing(hp)
             for m2 in range(m + 1, self.n):
-                hp2 = tuple(x for x in range(self.n) if x != m2)
                 # orbit direction: the element leaving hp is m2, entering m
-                out.append(((line, hp), (line, hp2), (m2, m)))
+                out.append(((line, hp), (line, self.hyperplane(m2)),
+                            (m2, m)))
         return out
 
     def __eq__(self, other):
@@ -346,7 +350,7 @@ def pullback(cls, target_space):
     """Composition with the forgetful projection to the coarser flags.
 
     The construction pulls back to Fl(1, ranks, n-1); :func:`pushforward_to_pp`
-    does that fiber by fiber, and the tests compare it against this map.
+    does that chain by chain, and the tests compare it against this map.
     """
     source = cls.space
     if (target_space.n != source.n
@@ -363,69 +367,48 @@ def pullback(cls, target_space):
     return EquivariantClass(target_space, values, cls.weights)
 
 
-def _pushforward_value(cls, target_space, point):
-    """The pushforward at one point ((a,), H) of the target, H missing m.
-
-    The fiber holds the source chains F with a in F_1 and F_s inside H;
-    its chart is that of the chain (a) < F < H of Fl(1, ranks, n-1).  The
-    fiber terms val / prod (1 - chi) over each such chart are summed and
-    multiplied by the target chart.  The target chart holds (a, m) twice,
-    and every fiber chart contains the rest of it (CheckFailed at stage
-    "pushforward", with the missing factor as witness, otherwise), so that
-    part cancels from each term before the sum, and only the factor
-    1 - t^(e_m - e_a) multiplies it.  What is left of a chart pairs
-    elements of H - {a}; each factor is turned to one orientation of its
-    pair, so the terms share a small common denominator
-    (:func:`flagtutte.laurent.binomial_fraction_sum`).
-
-    Characters are exponents in the ring of the class's values
-    (:meth:`EquivariantClass.char`).  On a specialized class a chart
-    factor is matched by its degree alone, so the check that the target
-    chart cancels is a necessary condition there.
-    """
-    space, char = cls.space, cls.char
-    (a,), hyperplane = point
-    inside = set(hyperplane)
-    if a not in inside:
-        return LaurentPoly.zero(cls.nvars)  # empty fiber
-    shared = [char(j, i) for i, j in target_space.chart_pairs(point)]
-    extra = char(target_space.missing(hyperplane), a)
-    shared.remove(extra)
-    terms = []
-    for chain, val in cls.values.items():
-        if a not in chain[0] or not inside.issuperset(chain[-1]):
-            continue
-        den = [char(j, i) for i, j
-               in space.chart_pairs(((a,),) + chain + (hyperplane,))]
-        for chi in shared:
-            if chi not in den:
-                raise CheckFailed("pushforward", "a fiber chart lacks a "
-                                  "factor of the target chart", chi)
-            den.remove(chi)
-        for k, chi in enumerate(den):
-            flipped = tuple(-x for x in chi)
-            if flipped > chi:  # 1/(1 - t^chi) = -t^-chi / (1 - t^-chi)
-                val, den[k] = -val.shift(flipped), flipped
-        terms.append((val, den))
-    return binomial_fraction_sum(cls.nvars, terms, [extra])
-
-
 def pushforward_to_pp(cls):
     """Pull back to Fl(1, ranks, n-1), push along (first, last) to the
     line-hyperplane product.
 
     The class may live on any flag space; the larger space is never built.
-    Each target point sums its fiber over what is left of the chart
-    denominators once the target chart cancels
-    (:func:`_pushforward_value`); the result must be a Laurent polynomial
-    and satisfy GKM, both asserted.  The result lives in the ring of the
-    class: a specialized class pushes forward to a specialized class, and
-    its checks run in Z[z^±], as necessary conditions only.
+    A chain F lies over each point ((a,), H) with a in F_1 and F_s inside
+    H, H missing m.  Its fiber chart there is that of (a) < F < H, and the
+    target chart holds (a, m) twice and the rest of that chart once, so
+    what is left of the fiber chart once the target chart cancels is F's
+    own chart less the pairs (a, j) and (i, m).  Each chart factor is
+    turned to one orientation of its pair, so the terms share a small
+    common denominator, and each point sums its terms times the one
+    factor 1 - t^(e_m - e_a) left of the target chart
+    (:func:`flagtutte.laurent.binomial_fraction_sum`).  The result must be
+    a Laurent polynomial and satisfy GKM, both asserted.  The result lives
+    in the ring of the class (:meth:`EquivariantClass.char`): a
+    specialized class pushes forward to a specialized class, and its
+    checks run in Z[z^±], as necessary conditions only.
     """
-    target = ProjProductSpace(cls.space.n)
-    out = EquivariantClass(
-        target, {pt: _pushforward_value(cls, target, pt)
-                 for pt in target.fixed_points()}, cls.weights)
+    space, char, n = cls.space, cls.char, cls.space.n
+    target = ProjProductSpace(n)
+    terms = {}
+    for chain, val in cls.values.items():
+        factors = []  # (i, j, oriented character, whether it was flipped)
+        for i, j in space.chart_pairs(chain):
+            chi = char(j, i)
+            flipped = tuple(-x for x in chi)
+            factors.append((i, j, max(chi, flipped), flipped > chi))
+        outside = [m for m in range(n) if m not in chain[-1]]
+        for a in chain[0]:
+            for m in outside:
+                kept = [f for f in factors if f[0] != a and f[1] != m]
+                # 1/(1 - t^chi) = -t^-chi / (1 - t^-chi) for each flip
+                flips = [chi for _, _, chi, flip in kept if flip]
+                num = val.shift(tuple(map(sum, zip(*flips)))) if flips else val
+                terms.setdefault((a, m), []).append(
+                    (-num if len(flips) % 2 else num,
+                     [chi for _, _, chi, _ in kept]))
+    out = EquivariantClass(target, {
+        ((a,), target.hyperplane(m)):
+            binomial_fraction_sum(cls.nvars, fiber, [char(m, a)])
+        for (a, m), fiber in terms.items()}, cls.weights)
     out.assert_gkm("pushforward")
     return out
 
@@ -466,9 +449,8 @@ def to_nonequivariant(cls):
     if not isinstance(cls.space, ProjProductSpace):
         raise SpaceMismatch("reduction is defined on the product space")
     n, char = cls.space.n, cls.char
-    hyperplanes = [tuple(x for x in range(n) if x != m) for m in range(n)]
-    rows = [_solve_along([cls.value(((i,), h)) for i in range(n)], char)
-            for h in hyperplanes]
+    rows = [_solve_along([cls.value(((i,), cls.space.hyperplane(m)))
+                          for i in range(n)], char) for m in range(n)]
     out = {}
     for a in range(n):
         column = _solve_along([row[a] for row in rows],
@@ -499,6 +481,7 @@ def k_tutte(flag_matroid, weights=None):
     n = flag_matroid.n
     if n < 2:
         raise OutOfRange("the construction needs n >= 2")
+    guard_table(n)  # y's rank table bounds n before the weights are listed
     weights = tuple(range(n)) if weights is None else tuple(weights)
     space = FlagSpace(n, flag_matroid.ranks)
     EquivariantClass(space, {}).specialize(weights)  # BadWeights, no cone

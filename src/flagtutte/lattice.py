@@ -144,13 +144,15 @@ def flag_polytope(flag_matroid):
     Its vertices are the weights e_F of the basis flags (Borovik-Gelfand-
     White), read off :func:`flagtutte.polyflag.enumerate_flags` without a
     scan over orderings; the submodular description is the sum of the
-    constituent rank tables.
+    constituent rank tables.  That table comes first, so n past
+    :data:`flagtutte.matroid.MAX_TABLE_ELEMENTS` is OutOfRange before any
+    vertex is built.
     """
     n, ranks = flag_matroid.n, flag_matroid.ranks
+    z = polymatroid_of_flag(flag_matroid).rank_table
     return LatticePolytope(
         n, [flag_weight(n, ranks, chain)
-            for chain in enumerate_flags(flag_matroid)],
-        polymatroid_of_flag(flag_matroid).rank_table)
+            for chain in enumerate_flags(flag_matroid)], z)
 
 
 def polytope_from_lattice_points(points):

@@ -23,6 +23,28 @@ MAX_TABLE_ELEMENTS = 20
 # million.
 MAX_ORDERING_ELEMENTS = 10
 
+# The largest ground set the Tutte routes on the basis list alone take
+# (deletion-contraction and basis activities, which need no rank table):
+# deletion-contraction recurses once per element, inside the interpreter's
+# default recursion limit of 1000, and both routes hold sets of elements.
+MAX_BASIS_ROUTE_ELEMENTS = 500
+
+
+def guard_table(n):
+    """OutOfRange, before anything is allocated, when a rank table on n
+    elements would pass MAX_TABLE_ELEMENTS."""
+    if n > MAX_TABLE_ELEMENTS:
+        raise OutOfRange(f"a rank table on {n} elements needs 2^{n} "
+                         f"entries; the limit is n = {MAX_TABLE_ELEMENTS}")
+
+
+def guard_basis_routes(n):
+    """OutOfRange, before anything is allocated, when n exceeds
+    MAX_BASIS_ROUTE_ELEMENTS."""
+    if n > MAX_BASIS_ROUTE_ELEMENTS:
+        raise OutOfRange(f"the basis-list Tutte routes take at most "
+                         f"n = {MAX_BASIS_ROUTE_ELEMENTS} elements, not {n}")
+
 
 def guard_orderings(n):
     """OutOfRange, before any ordering is made, when n exceeds
@@ -81,10 +103,7 @@ class Matroid:
         MAX_TABLE_ELEMENTS.
         """
         if self._rank_table is None:
-            if self.n > MAX_TABLE_ELEMENTS:
-                raise OutOfRange(f"a rank table on {self.n} elements needs "
-                                 f"2^{self.n} entries; the limit is "
-                                 f"n = {MAX_TABLE_ELEMENTS}")
+            guard_table(self.n)
             n, full = self.n, 1 << self.n
             independent = bytearray(full)
             for m in self._basis_masks:
@@ -229,17 +248,28 @@ def matroid_from_bases(n, bases):
     sizes = {len(b) for b in bases}
     if len(sizes) != 1:
         raise UnequalCardinality(f"basis sizes {sorted(sizes)} differ")
-    family = {frozenset(b) for b in bases}
-    _check_exchange(family)
-    return Matroid(n, family)
+    _check_exchange({_mask(b) for b in bases})
+    return Matroid(n, bases)
 
 
-def _check_exchange(family):
-    for b1 in family:
-        for b2 in family:
-            for e in b1 - b2:
-                if not any((b1 - {e}) | {f} in family for f in b2 - b1):
-                    raise ExchangeViolation(b1, b2, e)
+def _check_exchange(masks):
+    """Basis exchange on bitmasks: for bases B1, B2 and e in B1 - B2, some
+    f in B2 - B1 makes B1 - e + f a basis.  The pairs are tried in sorted
+    mask order, so the ExchangeViolation, in element lists, names the same
+    failure on every run."""
+    ordered = sorted(masks)
+    for b1 in ordered:
+        for b2 in ordered:
+            lost, gains = b1 & ~b2, b2 & ~b1
+            while lost:
+                e = lost & -lost  # the lowest element of B1 - B2 not tried
+                lost ^= e
+                f = gains  # f & -f runs over B2 - B1 until B1 - e + it holds
+                while f and (b1 ^ e) | (f & -f) not in masks:
+                    f &= f - 1
+                if not f:
+                    raise ExchangeViolation(_bits(b1), _bits(b2),
+                                            e.bit_length() - 1)
 
 
 def uniform_matroid(k, n):
@@ -255,7 +285,10 @@ def check_rank_axioms(table, n, polymatroid=False):
     In matroid mode: R1 (0 <= r(X) <= |X|), R2 monotone, R3 submodular.
     In polymatroid mode R1 relaxes to r(empty) = 0 with nonnegative values.
     Returns a Verdict whose witness identifies the first violation.
+    OutOfRange, before the table size is computed, when n exceeds
+    MAX_TABLE_ELEMENTS.
     """
+    guard_table(n)
     full = 1 << n
     if len(table) != full:
         return Verdict(False, f"table has {len(table)} entries, need {full}")

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -8,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import flagtutte
 from flagtutte.cli import COMMANDS, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -350,6 +355,39 @@ class TestBadInput:
         assert time.process_time() - start < 1
         assert code == 1 and report["error"] == "OutOfRange"
 
+    @pytest.mark.parametrize("verb, doc, extra", [
+        ("check", {"type": "polymatroid", "n": 10**11, "rank": [0]}, []),
+        ("qprime", {"type": "polymatroid", "n": 10**11, "rank": [0]}, []),
+        ("ktutte", {"type": "polymatroid", "n": 10**11, "rank": [0]}, []),
+        ("check", {"type": "polymatroid", "n": 3 * 10**9, "rank": [0]}, []),
+        ("ktutte", {"type": "matroid", "n": 10**11, "bases": [[0]]}, []),
+        ("charpoly", {"type": "matroid", "n": 10**11, "bases": [[0]]}, []),
+        ("tutte", {"type": "matroid", "n": 2000, "bases": [[0]]},
+         ["--method=delcon"]),
+        ("tutte", {"type": "matroid", "n": 10**8, "bases": [[0]]},
+         ["--method=delcon"]),
+        ("tutte", {"type": "matroid", "n": 10**8, "bases": [[0]]},
+         ["--method=activity"]),
+    ])
+    def test_huge_ground_set_refused_before_allocating(self, tmp_path, verb,
+                                                       doc, extra):
+        # in a child process with 1 GiB of address space, so that a verb
+        # that sizes its work by n fails here instead of taking the memory
+        # of the test run
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(flagtutte.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "flagtutte.cli", verb, str(path), *extra],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap)
+        assert done.returncode == 1, done.stderr
+        report = json.loads(done.stdout)
+        assert report["ok"] is False and report["error"] == "OutOfRange"
+
     def test_nested_members_are_not_parsed(self, capsys, tmp_path):
         # a member is checked to be a matroid before it is parsed, so
         # nesting deeper than the interpreter's recursion limit allows in
@@ -392,15 +430,24 @@ def fuzz_field(good):
         lambda k: JSON_VALUES if k == 0 else good)
 
 
+def sizes(top):
+    """Mostly n in 0..top, sometimes n past the limits on the ground set:
+    the basis-list Tutte routes' 500, or one that no table fits."""
+    return st.integers(0, 7).flatmap(
+        lambda k: st.sampled_from([2000, 10**11]) if k == 0
+        else st.integers(0, top))
+
+
 def fuzz_documents():
-    """Documents under every type tag with n <= 5: fields right or wrong,
-    booleans, rationals as strings and members nested two levels deep."""
+    """Documents under every type tag with n <= 5, or now and then n far
+    past the limits: fields right or wrong, booleans, rationals as strings
+    and members nested two levels deep."""
     equal_size_sets = st.integers(0, 3).flatmap(lambda k: st.lists(
         st.lists(st.integers(-1, 4), min_size=k, max_size=k, unique=True),
         min_size=1, max_size=4))
     matroids = st.one_of(
         st.fixed_dictionaries(
-            {"type": st.just("matroid"), "n": fuzz_field(st.integers(0, 5)),
+            {"type": st.just("matroid"), "n": fuzz_field(sizes(5)),
              "bases": fuzz_field(equal_size_sets)},
             optional={"indexing": st.sampled_from(["0", "1", 1, True])}),
         st.fixed_dictionaries({"type": st.just("matrix"), "rows": fuzz_field(
@@ -414,7 +461,7 @@ def fuzz_documents():
             optional={"vertices": fuzz_field(st.integers(3, 6))}))
     others = st.one_of(
         st.fixed_dictionaries({
-            "type": st.just("polymatroid"), "n": fuzz_field(st.integers(0, 3)),
+            "type": st.just("polymatroid"), "n": fuzz_field(sizes(3)),
             "rank": fuzz_field(st.lists(st.integers(-1, 3), max_size=8))}),
         st.fixed_dictionaries({"type": JSON_VALUES}))
 

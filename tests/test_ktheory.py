@@ -2,17 +2,17 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from flagtutte.errors import (BadWeights, CheckFailed, InexactDivision,
-                              OutOfRange, SpaceMismatch)
+from flagtutte.errors import (BadWeights, InexactDivision, OutOfRange,
+                              SpaceMismatch)
 from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.invariants import (characteristic_poly, log_concavity,
                                   tutte_rank_nullity)
 from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
-                               _pushforward_value, format_chain, k_tutte,
-                               o1_class, parse_chain, pullback,
-                               pushforward_to_pp, to_nonequivariant, y_class)
+                               format_chain, k_tutte, o1_class, parse_chain,
+                               pullback, pushforward_to_pp, to_nonequivariant,
+                               y_class)
 from flagtutte.lattice import count_lattice_points_of_table
 from flagtutte.laurent import LaurentPoly, _poly_product
 from flagtutte.matroid import (matroid_from_bases, matroid_from_matrix,
@@ -406,21 +406,23 @@ class TestPushforward:
     def test_pushforward_satisfies_gkm(self):
         assert self.build_pushed().gkm_verdict()
 
-    @pytest.mark.parametrize("flag", [
-        fixture_flag("flag_u23_5"),
-        flag_from_constituents([uniform_matroid(3, 6)])],
-        ids=["flag_u23_5", "u36"])
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)))
+    @example(fixture_flag("flag_u23_5"))
+    @example(flag_from_constituents([uniform_matroid(3, 6)]))
     def test_cancelled_charts_match_full_denominators(self, flag):
         lifted, coarse = lifted_class(flag), coarse_class(flag)
         target = ProjProductSpace(flag.n)
+        lifted_pushed = pushforward_to_pp(lifted)
+        coarse_pushed = pushforward_to_pp(coarse)
         nonzero = 0
         for point in target.fixed_points():
             want = full_denominator_value(lifted.space, lifted, target,
                                           point)
-            assert _pushforward_value(lifted, target, point) == want, point
-            assert _pushforward_value(coarse, target, point) == want, point
+            assert lifted_pushed.value(point) == want, point
+            assert coarse_pushed.value(point) == want, point
             nonzero += not want.is_zero()
-        assert nonzero > flag.n
+        assert nonzero
 
     @settings(max_examples=40, deadline=None)
     @given(subspace_flags(5))
@@ -448,19 +450,6 @@ class TestPushforward:
         cls = coarse_class(four_flag_matroid())
         with pytest.raises(BadWeights):
             cls.specialize((0, 1, 1))
-
-    def test_fiber_chart_without_a_target_factor_fails(self, monkeypatch):
-        cls = lifted_class(fixture_flag("flag_u23_5"))
-        space, target = cls.space, ProjProductSpace(5)
-        point = ((0,), (0, 1, 2, 3))
-        assert not _pushforward_value(cls, target, point).is_zero()
-        charts = space.chart_pairs
-        monkeypatch.setattr(space, "chart_pairs", lambda chain: [
-            pair for pair in charts(chain) if pair != (0, 2)])
-        with pytest.raises(CheckFailed) as info:
-            _pushforward_value(cls, target, point)
-        assert info.value.stage == "pushforward"
-        assert info.value.witness == (-1, 0, 1, 0, 0)
 
 
 class TestToNonEquivariant:

@@ -348,7 +348,56 @@ class TestRepresentableAndGraphic:
         assert m.rank(range(6)) == 3
 
 
+def frozenset_exchange_failures(family):
+    """Reference: every (B1, B2, e) of a family of frozensets at which basis
+    exchange fails."""
+    return {(b1, b2, e) for b1 in family for b2 in family for e in b1 - b2
+            if not any((b1 - {e}) | {f} in family for f in b2 - b1)}
+
+
+@st.composite
+def basis_families(draw):
+    """(n, a family of equal-size subsets of range(n)): most of the
+    k-subsets, or the bases of a random column matroid with a few dropped."""
+    if draw(st.booleans()):
+        # families of 1-subsets or of (n-1)-subsets are all matroids
+        n = draw(st.integers(4, 6))
+        subsets = list(itertools.combinations(range(n),
+                                              draw(st.integers(2, n - 2))))
+        size = len(subsets) - draw(st.integers(0, len(subsets) - 1))
+        return n, set(draw(st.permutations(subsets))[:size])
+    n = draw(st.integers(2, 6))
+    bases = matroid_from_matrix(draw(st.lists(
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+        min_size=1, max_size=n))).bases
+    return n, set(bases) - draw(st.sets(st.sampled_from(bases),
+                                        max_size=min(2, len(bases) - 1)))
+
+
 class TestExchangeProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(basis_families(), st.randoms(use_true_random=False))
+    def test_mask_check_agrees_with_frozensets(self, case, rng):
+        n, family = case
+        failures = frozenset_exchange_failures(
+            {frozenset(b) for b in family})
+        order = sorted(family)
+        rng.shuffle(order)
+        try:
+            m = matroid_from_bases(n, order)
+        except ExchangeViolation as err:
+            assert (frozenset(err.basis1), frozenset(err.basis2),
+                    err.element) in failures
+            with pytest.raises(ExchangeViolation) as again:
+                matroid_from_bases(n, sorted(family))
+            # the witness does not depend on the order of the input
+            assert (again.value.basis1, again.value.basis2,
+                    again.value.element) == (err.basis1, err.basis2,
+                                             err.element)
+        else:
+            assert not failures
+            assert set(m.bases) == set(family)
+
     def test_basis_exchange_on_all_fixtures(self, fixtures):
         for m in fixtures.values():
             family = {frozenset(b) for b in m.bases}

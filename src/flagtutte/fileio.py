@@ -210,13 +210,13 @@ def krational_to_json(kr):
     return out
 
 
-def bivar_to_json(p, names=("x", "y")):
-    return {"vars": list(names),
+def bivar_to_json(p):
+    return {"vars": ["x", "y"],
             "terms": [{"exp": list(k), "coeff": str(c)}
                       for k, c in p.sorted_terms()]}
 
 
-def univar_to_json(coeffs, name="lambda"):
-    return {"vars": [name],
+def univar_to_json(coeffs):
+    return {"vars": ["lambda"],
             "terms": [{"exp": [k], "coeff": str(c)}
                       for k, c in enumerate(coeffs) if c]}

@@ -17,14 +17,14 @@ from .matroid import guard_basis_routes
 from .polyflag import Polymatroid
 
 
-def format_bivar(p, names=("x", "y")):
+def format_bivar(p):
     if p.is_zero():
         return "0"
     parts = []
     for (i, j), c in sorted(p.terms.items(), reverse=True):
         mono = "".join(
             n if e == 1 else f"{n}^{e}"
-            for n, e in zip(names, (i, j)) if e
+            for n, e in zip("xy", (i, j)) if e
         )
         body = str(abs(c)) if not mono else (mono if abs(c) == 1
                                              else f"{abs(c)}{mono}")

@@ -590,26 +590,19 @@ def triangulate(cone):
 def hilbert_numerator(cone, denom):
     """The Laurent polynomial Hilb(C) * prod_{a in denom} (1 - t^a).
 
-    A piece with generators G and parallelepiped points b contributes
-    sum_b t^b * prod (1 - t^a) over denom - G, divided by the generators
-    left over, G - denom: generators that are denominator factors cancel
-    before any product is formed.  The leftovers are divided off the sum
-    by :func:`flagtutte.laurent.binomial_fraction_sum`, which must be
-    exact (InexactDivision otherwise).
+    One :func:`flagtutte.laurent.binomial_fraction_sum` times denom, with
+    a term sum_b t^b over its generators for each piece.  When every ray
+    is a factor of denom, as on a flag polytope against its chart, each
+    piece is multiplied by the rays it lacks and the other factors of
+    denom multiply the sum once; any leftover generator must divide off
+    exactly (InexactDivision otherwise).
     """
     n = cone.n
-    terms = []
-    for piece in triangulate(cone):
-        rest, left = list(denom), []
-        for g in piece.generators:
-            if g in rest:
-                rest.remove(g)
-            else:
-                left.append(g)
-        points = LaurentPoly(n, {b if b else (0,) * n: 1
-                                 for b in piece.parallelepiped_points()})
-        terms.append((points.times_one_minus(rest), left))
-    return binomial_fraction_sum(n, terms)
+    return binomial_fraction_sum(n, [
+        (LaurentPoly(n, {b if b else (0,) * n: 1
+                         for b in piece.parallelepiped_points()}),
+         piece.generators)
+        for piece in triangulate(cone)], denom)
 
 
 # --------------------------------------------- Minkowski sums and normality
@@ -624,73 +617,68 @@ def minkowski_sum(polytopes):
     return LatticePolytope(n, _gp_vertices(n, z), z)
 
 
+def _split(point, lists):
+    """One point of each list, summing to `point` and first in lex order of
+    the indices, or None.
+
+    Backtracking skips a remainder that already failed at its level (an
+    earlier prefix with the same sum left it), and where a list is the one
+    before it, starts at the index taken there, so each multiset is tried
+    once (sorting a split within such a run gives one no later).
+    """
+    last = len(lists) - 1
+    final = set(lists[last])
+    chained = [lists[i + 1] == lists[i] for i in range(last)]
+    failed = [set() for _ in range(last)]
+
+    def rec(i, rest, start):
+        if i == last:
+            return [rest] if rest in final else None
+        if rest not in failed[i]:
+            points, chain = lists[i], chained[i]
+            for idx in range(start, len(points)):
+                tail = rec(i + 1, _vsub(rest, points[idx]),
+                           idx if chain else 0)
+                if tail is not None:
+                    return [points[idx]] + tail
+            failed[i].add(rest)
+        return None
+
+    return rec(0, point, 0)
+
+
 def decompose_lattice_point(point, polytopes):
     """Write `point` as a sum of lattice points, one per summand.
 
-    Backtracking in canonical order; raises NoDecomposition when no split
-    exists (impossible for polymatroid-polytope summands).
+    The first split in lex order over the summands' lattice points
+    (:func:`_split`); raises NoDecomposition when no split exists
+    (impossible for polymatroid-polytope summands), and OutOfRange for a
+    point of another dimension.
     """
     point = tuple(point)
     n = polytopes[0].n
-    suffix_z = [None] * (len(polytopes) + 1)
-    acc = (0,) * (1 << n)
-    for i in range(len(polytopes) - 1, -1, -1):
-        acc = tuple(a + b for a, b in zip(acc, polytopes[i].z))
-        suffix_z[i] = acc
-    parts = []
-
-    def rec(i, residual):
-        if i == len(polytopes) - 1:
-            if _gp_contains(n, polytopes[i].z, residual):
-                parts.append(residual)
-                return True
-            return False
-        for s in lattice_points(polytopes[i]):
-            rest = _vsub(residual, s)
-            if _gp_contains(n, suffix_z[i + 1], rest):
-                parts.append(s)
-                if rec(i + 1, rest):
-                    return True
-                parts.pop()
-        return False
-
-    if rec(0, point):
-        return parts
-    raise NoDecomposition(f"{point} admits no lattice decomposition")
+    if len(point) != n:
+        raise OutOfRange(f"point has {len(point)} coordinates, need {n}")
+    parts = _split(point, [lattice_points(p) for p in polytopes])
+    if parts is None:
+        raise NoDecomposition(f"{point} admits no lattice decomposition")
+    return parts
 
 
 def is_normal(p, kmax):
     """Every lattice point of kP a sum of k lattice points of P, k <= kmax.
 
-    The points of kP are listed straight from the table k*z; the ambient
-    lattice Z^n is used throughout.  The witness is the first point, by k
-    and then in lex order, that is not a k-fold sum.
+    The points of kP are listed straight from the table k*z and each is
+    split over k copies of P's lattice points (:func:`_split`); the
+    ambient lattice Z^n is used throughout.  The witness is the first
+    point, by k and then in lex order, that is not a k-fold sum.
     """
     if kmax < 2:
         raise OutOfRange("kmax must be at least 2")
     pts = lattice_points(p)
-    ptset = set(pts)
-    memo = {}
-
-    def can(target, k, start):
-        if k == 1:
-            return target in ptset
-        key = (target, k, start)
-        if key in memo:
-            return memo[key]
-        ok = False
-        for idx in range(start, len(pts)):
-            s = pts[idx]
-            rest = _vsub(target, s)
-            if can(rest, k - 1, idx):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
     for k in range(2, kmax + 1):
         for q in lattice_points_of_table(p.n, [k * x for x in p.z]):
-            if not can(q, k, 0):
+            if _split(q, [pts] * k) is None:
                 return Verdict(False, f"point of {k}P not a {k}-fold sum",
                                witness=q)
     return Verdict(True)

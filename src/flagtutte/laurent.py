@@ -13,8 +13,10 @@ is the image in Z[t^±]/(1 - t^a), the line sums.  A product with
 binomials is taken one factor at a time, without expanding their product
 (:meth:`LaurentPoly.times_one_minus`).  A sum of such fractions that must
 come out a Laurent polynomial, as the vertex-cone numerators and the
-pushforward fibers do, is taken over one common denominator whose factors
-are divided off at the end (:func:`binomial_fraction_sum`).  A ring map
+pushforward fibers do, is taken over one common denominator L: the
+factors that L shares with the binomials the sum is multiplied by cancel
+first, and the rest of L is divided off at the end
+(:func:`binomial_fraction_sum`).  A ring map
 t_i -> z^{w_i} (:meth:`LaurentPoly.specialize`) takes a polynomial to one
 variable, where the same arithmetic runs on plain integer exponents.
 
@@ -389,16 +391,14 @@ class LaurentPoly:
         return f"LaurentPoly({self.nvars}, {format_poly(self)})"
 
 
-def format_poly(p, names=None):
-    """Human-readable form, 1-indexed variables t1..tn by default."""
+def format_poly(p):
+    """Human-readable form in the 1-indexed variables t1..tn."""
     if p.is_zero():
         return "0"
-    if names is None:
-        names = [f"t{i + 1}" for i in range(p.nvars)]
     parts = []
     for e, c in sorted(p.terms.items(), reverse=True):
         mono = "*".join(
-            f"{names[i]}" + (f"^{x}" if x != 1 else "")
+            f"t{i + 1}" + (f"^{x}" if x != 1 else "")
             for i, x in enumerate(e) if x
         )
         if not mono:
@@ -413,34 +413,23 @@ def format_poly(p, names=None):
 
 
 def _multiset_max(a, b):
-    """Multiset union-by-maximum of two denominator factor lists."""
-    counts = {}
-    for t in a:
-        counts[t] = counts.get(t, 0) + 1
-    other = {}
+    """Multiset union-by-maximum of two denominator factor lists, sorted:
+    a, plus each factor of b that a does not match."""
+    out, unmatched = list(a), list(a)
     for t in b:
-        other[t] = other.get(t, 0) + 1
-    for t, c in other.items():
-        counts[t] = max(counts.get(t, 0), c)
-    out = []
-    for t in sorted(counts):
-        out.extend([t] * counts[t])
-    return tuple(out)
+        if t in unmatched:
+            unmatched.remove(t)
+        else:
+            out.append(t)
+    return tuple(sorted(out))
 
 
 def _multiset_sub(a, b):
-    """Multiset difference a - b (b must be contained in a)."""
-    counts = {}
-    for t in a:
-        counts[t] = counts.get(t, 0) + 1
+    """Multiset difference a - b, sorted, each count floored at zero."""
+    out = sorted(a)
     for t in b:
-        counts[t] -= 1
-    out = []
-    for t in sorted(counts):
-        if counts[t] < 0:
-            raise CheckFailed("multiset difference",
-                              "subtrahend is not contained", (a, b))
-        out.extend([t] * counts[t])
+        if t in out:
+            out.remove(t)
     return tuple(out)
 
 
@@ -452,10 +441,13 @@ def binomial_fraction_sum(nvars, terms, times=()):
     """The Laurent polynomial prod_{a in times} (1 - t^a) * sum of
     num / prod_{a in den} (1 - t^a) over the pairs (num, den) in terms.
 
-    The terms are brought to the union by maximum L of their denominators,
-    their numerators summed and multiplied by `times`, and each factor of
-    L is divided off; every division must be exact (InexactDivision
-    otherwise), so no factor is tried that does not divide.
+    The terms are brought to the union by maximum L of their denominators
+    and their numerators summed.  The factors that L shares with `times`
+    cancel before anything is multiplied: the sum is multiplied by
+    `times` - L only, and L - `times` is divided off, each multiset
+    difference floored at zero.  Every division must be exact
+    (InexactDivision otherwise), so no factor is tried that does not
+    divide.
     """
     common = ()
     for _, den in terms:
@@ -468,9 +460,8 @@ def binomial_fraction_sum(nvars, terms, times=()):
         part = num.times_one_minus(_multiset_sub(common, den))
         _add_into(keys, part._keys)
         bound = max(bound, part._bound)
-    total = LaurentPoly._make(nvars, keys, bound).times_one_minus(times)
-    for a in common:
+    total = LaurentPoly._make(nvars, keys, bound).times_one_minus(
+        _multiset_sub(times, common))
+    for a in _multiset_sub(common, times):
         total = total.exact_divide(a)
     return total
-
-

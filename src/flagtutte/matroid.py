@@ -62,6 +62,14 @@ def _mask(subset):
     return m
 
 
+def _find(parent, x):
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _bits(mask):
     out = []
     i = 0
@@ -86,12 +94,18 @@ class Matroid:
         self.n = n
         self.bases = tuple(sorted(tuple(sorted(b)) for b in set(map(frozenset, bases))))
         self.k = len(self.bases[0]) if self.bases else 0
-        self._basis_masks = frozenset(_mask(b) for b in self.bases)
+        self._basis_masks = None
         self._rank_table = None
 
     # -- core queries -------------------------------------------------------
+    def _masks(self):
+        """The basis bitmasks, built on first use (2^e for a label e)."""
+        if self._basis_masks is None:
+            self._basis_masks = frozenset(map(_mask, self.bases))
+        return self._basis_masks
+
     def is_basis(self, subset):
-        return _mask(subset) in self._basis_masks
+        return _mask(subset) in self._masks()
 
     def rank_table(self):
         """Rank of every subset, indexed by bitmask.
@@ -106,7 +120,7 @@ class Matroid:
             guard_table(self.n)
             n, full = self.n, 1 << self.n
             independent = bytearray(full)
-            for m in self._basis_masks:
+            for m in self._masks():
                 independent[m] = 1
             # downward closure: subsets of independent sets are independent
             for m in range(full - 1, -1, -1):
@@ -206,20 +220,13 @@ class Matroid:
     def connected_components(self):
         """Partition of the ground set by the circuit-sharing relation."""
         parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for circuit in self.circuits():
-            root = find(circuit[0])
+            root = _find(parent, circuit[0])
             for e in circuit[1:]:
-                parent[find(e)] = root
+                parent[_find(parent, e)] = root
         groups = {}
         for e in range(self.n):
-            groups.setdefault(find(e), []).append(e)
+            groups.setdefault(_find(parent, e), []).append(e)
         return sorted(tuple(g) for g in groups.values())
 
     # -- misc -----------------------------------------------------------------
@@ -248,15 +255,19 @@ def matroid_from_bases(n, bases):
     sizes = {len(b) for b in bases}
     if len(sizes) != 1:
         raise UnequalCardinality(f"basis sizes {sorted(sizes)} differ")
-    _check_exchange({_mask(b) for b in bases})
+    _check_exchange(bases)
     return Matroid(n, bases)
 
 
-def _check_exchange(masks):
-    """Basis exchange on bitmasks: for bases B1, B2 and e in B1 - B2, some
-    f in B2 - B1 makes B1 - e + f a basis.  The pairs are tried in sorted
-    mask order, so the ExchangeViolation, in element lists, names the same
-    failure on every run."""
+def _check_exchange(bases):
+    """Basis exchange: for bases B1, B2 and e in B1 - B2, some f in B2 - B1
+    makes B1 - e + f a basis.  It runs on bitmasks over the labels the
+    bases use, bit i for the i-th smallest, so a huge label costs one bit.
+    The pairs are tried in sorted mask order, so the ExchangeViolation, in
+    labels, names the same failure on every run."""
+    labels = sorted(set().union(*bases))
+    bit = {e: 1 << i for i, e in enumerate(labels)}
+    masks = {sum(bit[e] for e in b) for b in bases}
     ordered = sorted(masks)
     for b1 in ordered:
         for b2 in ordered:
@@ -268,8 +279,10 @@ def _check_exchange(masks):
                 while f and (b1 ^ e) | (f & -f) not in masks:
                     f &= f - 1
                 if not f:
-                    raise ExchangeViolation(_bits(b1), _bits(b2),
-                                            e.bit_length() - 1)
+                    raise ExchangeViolation(
+                        [labels[i] for i in _bits(b1)],
+                        [labels[i] for i in _bits(b2)],
+                        labels[e.bit_length() - 1])
 
 
 def uniform_matroid(k, n):
@@ -475,17 +488,10 @@ def matroid_from_graph(edges, vertices=None):
 
     def forest_size(edge_idx):
         parent = list(range(len(index)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         size = 0
         for i in edge_idx:
             u, v = edges[i]
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[ru] = rv
                 size += 1

@@ -34,6 +34,27 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def run_capped(tmp_path, verb, doc, *extra):
+    """The CLI on `doc` in a child process with 1 GiB of address space, so
+    that a verb that sizes its work by n fails there instead of taking the
+    memory of the test run; (exit code, parsed stdout, stderr)."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(flagtutte.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "flagtutte.cli", verb, str(path), *extra],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=cap)
+    return done.returncode, json.loads(done.stdout or "null"), done.stderr
+
+
+HUGE_LABEL_MATROID = {"type": "matroid", "n": 10**11,
+                      "bases": [[10**11 - 1]]}
+
+
 class TestCheck:
     def test_k4(self, capsys):
         code, doc = run_json(capsys, "check", FIXTURES / "k4.json")
@@ -368,25 +389,23 @@ class TestBadInput:
          ["--method=delcon"]),
         ("tutte", {"type": "matroid", "n": 10**8, "bases": [[0]]},
          ["--method=activity"]),
+        ("ktutte", {"type": "flag_matroid",
+                    "constituents": [HUGE_LABEL_MATROID]}, []),
     ])
     def test_huge_ground_set_refused_before_allocating(self, tmp_path, verb,
                                                        doc, extra):
-        # in a child process with 1 GiB of address space, so that a verb
-        # that sizes its work by n fails here instead of taking the memory
-        # of the test run
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        env = dict(os.environ, PYTHONPATH=str(
-            Path(flagtutte.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "flagtutte.cli", verb, str(path), *extra],
-            env=env, capture_output=True, text=True, timeout=60,
-            preexec_fn=cap)
-        assert done.returncode == 1, done.stderr
-        report = json.loads(done.stdout)
+        code, report, stderr = run_capped(tmp_path, verb, doc, *extra)
+        assert code == 1, stderr
         assert report["ok"] is False and report["error"] == "OutOfRange"
+
+    def test_huge_label_checks(self, tmp_path):
+        # no bound on n applies to check, and the basis {n - 1} builds no
+        # 2^(n-1) mask
+        code, report, stderr = run_capped(tmp_path, "check",
+                                          HUGE_LABEL_MATROID)
+        assert code == 0, stderr
+        assert report == {"bases": 1, "kind": "matroid", "n": 10**11,
+                          "ok": True, "rank": 1}
 
     def test_nested_members_are_not_parsed(self, capsys, tmp_path):
         # a member is checked to be a matroid before it is parsed, so
@@ -438,18 +457,26 @@ def sizes(top):
         else st.integers(0, top))
 
 
+def matroid_documents(n):
+    """Matroid documents on n elements, their bases over the labels -1..4,
+    or over 0, 1 and n - 1 when n is past 5."""
+    labels = (st.integers(-1, 4) if n <= 5
+              else st.sampled_from([0, 1, n - 1]))
+    equal_size_sets = st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(labels, min_size=k, max_size=k, unique=True),
+        min_size=1, max_size=4))
+    return st.fixed_dictionaries(
+        {"type": st.just("matroid"), "n": fuzz_field(st.just(n)),
+         "bases": fuzz_field(equal_size_sets)},
+        optional={"indexing": st.sampled_from(["0", "1", 1, True])})
+
+
 def fuzz_documents():
     """Documents under every type tag with n <= 5, or now and then n far
-    past the limits: fields right or wrong, booleans, rationals as strings
-    and members nested two levels deep."""
-    equal_size_sets = st.integers(0, 3).flatmap(lambda k: st.lists(
-        st.lists(st.integers(-1, 4), min_size=k, max_size=k, unique=True),
-        min_size=1, max_size=4))
+    past the limits with a basis label up to n - 1: fields right or wrong,
+    booleans, rationals as strings and members nested two levels deep."""
     matroids = st.one_of(
-        st.fixed_dictionaries(
-            {"type": st.just("matroid"), "n": fuzz_field(sizes(5)),
-             "bases": fuzz_field(equal_size_sets)},
-            optional={"indexing": st.sampled_from(["0", "1", 1, True])}),
+        sizes(5).flatmap(matroid_documents),
         st.fixed_dictionaries({"type": st.just("matrix"), "rows": fuzz_field(
             st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(
                 st.integers(-2, 2) | st.just("1/2"), min_size=n, max_size=n),

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from flagtutte import lattice, linalg, oracle
 from flagtutte.errors import (CheckFailed, FlagTutteError, InexactDivision,
                               NegativeShift, NoDecomposition, NotAVertex,
-                              NotPointed, OutOfRange)
+                              NotPointed, OutOfRange, Verdict)
 from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.ktheory import FlagSpace
 from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
@@ -550,6 +551,108 @@ class TestMinkowski:
         p = base_polytope(uniform_matroid(1, 2))
         with pytest.raises(NoDecomposition):
             decompose_lattice_point((5, 5), [p])
+
+
+def reference_decompose(point, polytopes):
+    """The split by backtracking with the Minkowski sum of the summands
+    left as the pruning test, or None."""
+    n = polytopes[0].n
+    suffix_z = [None] * (len(polytopes) + 1)
+    acc = (0,) * (1 << n)
+    for i in range(len(polytopes) - 1, -1, -1):
+        acc = tuple(a + b for a, b in zip(acc, polytopes[i].z))
+        suffix_z[i] = acc
+    parts = []
+
+    def rec(i, residual):
+        if i == len(polytopes) - 1:
+            if lattice._gp_contains(n, polytopes[i].z, residual):
+                parts.append(residual)
+                return True
+            return False
+        for s in lattice_points(polytopes[i]):
+            rest = tuple(a - b for a, b in zip(residual, s))
+            if lattice._gp_contains(n, suffix_z[i + 1], rest):
+                parts.append(s)
+                if rec(i + 1, rest):
+                    return True
+                parts.pop()
+        return False
+
+    return parts if rec(0, tuple(point)) else None
+
+
+def reference_is_normal(p, kmax):
+    """Normality by a search memoized on (target, k, start index)."""
+    pts = lattice.lattice_points(p)
+    ptset = set(pts)
+    memo = {}
+
+    def can(target, k, start):
+        if k == 1:
+            return target in ptset
+        key = (target, k, start)
+        if key not in memo:
+            memo[key] = any(
+                can(tuple(a - b for a, b in zip(target, pts[idx])), k - 1,
+                    idx)
+                for idx in range(start, len(pts)))
+        return memo[key]
+
+    for k in range(2, kmax + 1):
+        for q in lattice.lattice_points_of_table(p.n, [k * x for x in p.z]):
+            if not can(q, k, 0):
+                return Verdict(False, f"point of {k}P not a {k}-fold sum",
+                               witness=q)
+    return Verdict(True)
+
+
+def matrix_rows(n):
+    """Two or three rows of n entries; most have rank 2 or 3, so their
+    base polytopes hold several points."""
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=2, max_size=3)
+
+
+class TestSharedSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 5).flatmap(matrix_rows), st.integers(2, 3),
+           st.data())
+    def test_normality_agrees_with_the_reference(self, rows, kmax, data):
+        # with one lattice point of P dropped now and then, so that the
+        # verdicts can fail and the witnesses differ from None
+        p = base_polytope(matroid_from_matrix(rows))
+        pts = lattice_points(p)
+        drop = data.draw(st.sampled_from([None] + pts))
+        kept = [q for q in pts if q != drop]
+        with mock.patch.object(lattice, "lattice_points", lambda q: kept):
+            got, want = is_normal(p, kmax), reference_is_normal(p, kmax)
+        assert (bool(got), got.witness) == (bool(want), want.witness)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 5).flatmap(
+        lambda n: st.tuples(matrix_rows(n), matrix_rows(n))),
+        st.lists(st.integers(0, 1), min_size=2, max_size=3), st.data())
+    def test_splits_agree_with_the_reference(self, matrices, picks, data):
+        # two or three summands out of two polytopes on one ground set, so
+        # a summand is often the one before it; every point of their sum
+        # splits, points of a box around it mostly not
+        polytopes = [base_polytope(matroid_from_matrix(rows))
+                     for rows in matrices]
+        ps = [polytopes[k] for k in picks]
+        box = data.draw(st.lists(st.tuples(*[st.integers(-1, 3)] * ps[0].n),
+                                 max_size=5))
+        for point in lattice_points(minkowski_sum(ps)) + box:
+            want = reference_decompose(point, ps)
+            if want is None:
+                with pytest.raises(NoDecomposition):
+                    decompose_lattice_point(point, ps)
+                continue
+            parts = decompose_lattice_point(point, ps)
+            assert tuple(map(sum, zip(*parts))) == point
+            assert all(q.contains(x) for q, x in zip(ps, parts))
+            # both searches find the split first in lex order
+            assert parts == want
 
 
 class TestNormality:

@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -390,6 +391,53 @@ small_polys = st.dictionaries(
     max_size=4).map(lambda terms: LaurentPoly(2, terms))
 
 
+def full_denominator_sum(nvars, terms, times):
+    """The reference rule: bring the terms to the union by maximum L of
+    their denominators, multiply the sum by all of `times` and divide off
+    all of L, with no factor cancelled first."""
+    common = Counter()
+    for _, den in terms:
+        common |= Counter(den)
+    total = LaurentPoly.zero(nvars)
+    for num, den in terms:
+        total = total + num.times_one_minus(
+            list((common - Counter(den)).elements()))
+    total = total.times_one_minus(times)
+    for a in sorted(common.elements()):
+        total = total.exact_divide(a)
+    return total
+
+
+@st.composite
+def fraction_sums(draw):
+    """(nvars, terms, times, exact) in 1-3 variables.  The factors come
+    from a pool of at most three, so they repeat within a denominator and
+    `times` shares some with the denominators, as the z-degrees of the
+    pushforward do.  When `exact`, each numerator holds the factors of its
+    denominator that `times` does not cover, so the sum is a polynomial."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars).filter(any)
+    pool = st.sampled_from(draw(st.lists(exps, min_size=1, max_size=3)))
+    dens = draw(st.lists(st.lists(pool, max_size=3), min_size=1,
+                         max_size=3))
+    times = draw(st.lists(pool | exps, max_size=4))
+    exact = draw(st.booleans())
+    common = Counter()
+    for den in dens:
+        common |= Counter(den)
+    uncovered = common - Counter(times)
+    terms = []
+    for den in dens:
+        num = LaurentPoly(nvars, draw(st.dictionaries(
+            exps | st.just((0,) * nvars), st.integers(-3, 3), max_size=3)))
+        if exact:
+            num = num.times_one_minus(
+                list((Counter(den) & uncovered).elements()))
+        terms.append((num, den))
+    return nvars, terms, times, exact
+
+
+
 class TestBinomialFractionSum:
     @settings(max_examples=80, deadline=None)
     @given(small_polys, st.lists(st.lists(small_exps, max_size=2),
@@ -415,6 +463,20 @@ class TestBinomialFractionSum:
 
     def test_empty_sum_is_zero(self):
         assert binomial_fraction_sum(2, [], [(1, 0)]).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_sums())
+    def test_shared_factors_cancel_as_the_full_rule_divides(self, case):
+        nvars, terms, times, exact = case
+        try:
+            expected = full_denominator_sum(nvars, terms, times)
+        except InexactDivision:
+            assert not exact
+            with pytest.raises(InexactDivision):
+                binomial_fraction_sum(nvars, terms, times)
+        else:
+            assert binomial_fraction_sum(nvars, terms, times) == expected
+
 
 
 class TestEvaluateAtOne:

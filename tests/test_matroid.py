@@ -398,6 +398,16 @@ class TestExchangeProperties:
             assert not failures
             assert set(m.bases) == set(family)
 
+    def test_witness_is_in_the_labels_of_the_bases(self):
+        # the check runs on masks over the labels the bases use, so the
+        # label 10^11 - 1 takes bit 3, and the witness maps back to it
+        big = 10**11 - 1
+        for n, top in ((4, 3), (10**11, big)):
+            with pytest.raises(ExchangeViolation) as err:
+                matroid_from_bases(n, [[0, top], [1, 2]])
+            assert (err.value.basis1, err.value.basis2,
+                    err.value.element) == ([1, 2], [0, top], 1)
+
     def test_basis_exchange_on_all_fixtures(self, fixtures):
         for m in fixtures.values():
             family = {frozenset(b) for b in m.bases}

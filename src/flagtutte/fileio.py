@@ -204,12 +204,6 @@ def laurent_to_json(p):
                       for e, c in p.sorted_terms()]}
 
 
-def krational_to_json(kr):
-    out = laurent_to_json(kr.num)
-    out["denominator"] = [list(a) for a in kr.den]
-    return out
-
-
 def bivar_to_json(p):
     return {"vars": ["x", "y"],
             "terms": [{"exp": list(k), "coeff": str(c)}

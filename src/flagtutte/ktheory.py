@@ -9,7 +9,7 @@ level contains i but not j.  Characters are exponent vectors, so the pair
 The localization class of a flag matroid is zero away from its flags and
 the numerator of the vertex-cone Hilbert series against the chart
 denominator at them.  Multiplying by the Segre-Veronese line-bundle weight
-t^{e_F}, pulling back to the space with ranks (1, k, n-1) and pushing
+t^{e_F} (a shift at each flag), pulling back to Fl(1, k, n-1) and pushing
 forward to the product of two projective spaces (chain by chain: each
 basis flag's own chart, less the pairs of a target chart, gives its term
 at every target point over it, so the larger space is never built), then
@@ -19,8 +19,8 @@ along the way must be exact.
 
 Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
 the ring map t_i -> z^{w_i}, for n distinct integers w_i, to the
-localization class and to the line bundle, whose product in Z[z^±] is the
-image of theirs.  Every character the pushforward, its GKM check and the
+localization class, and the line bundle is then a shift by z^(w.e_F) at
+each flag F.  Every character the pushforward, its GKM check and the
 reduction divide by is some e_i - e_j, of degree w_i - w_j != 0, and a
 ring map into the domain Z[z^±] keeps each exact quotient exact and unique
 and commutes with the evaluation at 1, so the polynomial is the same.  A
@@ -29,13 +29,15 @@ class records which ring its values live in
 body over the class's map from a pair (i, j) to an exponent: e_i - e_j
 itself, the multivariate oracle, or its degree.  A GKM check compares the
 residues of the two ends of an orbit modulo 1 - t^chi
-(:meth:`flagtutte.laurent.LaurentPoly.residue`).  A GKM or exactness check
-that runs after the specialization, in Z[z^±], is a necessary condition
-only; the multivariate GKM check on the localization class is the
-certificate.
+(:meth:`flagtutte.laurent.LaurentPoly.residue`), on the orbits that end in
+the class's support: any other compares 0 with 0.  A GKM or exactness
+check that runs after the specialization, in Z[z^±], is a necessary
+condition only; the multivariate GKM check on the localization class is
+the certificate.
 """
 
-from math import factorial, prod
+from math import factorial
+from operator import mul
 
 from .errors import (BadWeights, InexactDivision, OutOfRange, ParseError,
                      SpaceMismatch, Verdict)
@@ -102,19 +104,23 @@ class FlagSpace:
         self.ranks = ranks
         self.distinct_ranks = tuple(sorted(set(ranks)))
         self._fixed = None
+        # OutOfRange past 10! fixed points; their count n!/prod(block!) is
+        # built past the largest block, at least doubling at each element
+        levels = (0,) + self.distinct_ranks + (n,)
+        blocks = sorted(b - a for a, b in zip(levels, levels[1:]))
+        count, m = 1, blocks.pop()
+        for t in (t for d in blocks for t in range(1, d + 1)):
+            m, count = m + 1, count * (m + 1) // t
+            if count > factorial(MAX_ORDERING_ELEMENTS):
+                raise OutOfRange(f"{self} has at least {count} fixed points; "
+                                 f"the limit is {MAX_ORDERING_ELEMENTS}!")
 
     def fixed_points(self):
         """All set-flags over the distinct ranks, sorted: the basis flags
-        of the flag of uniform matroids of these ranks.  OutOfRange, before
-        any is listed, when there are more than 10! of them
-        (:data:`flagtutte.matroid.MAX_ORDERING_ELEMENTS`)."""
+        of the flag of uniform matroids of these ranks.  At most 10! of
+        them (:data:`flagtutte.matroid.MAX_ORDERING_ELEMENTS`), as the
+        space refuses more when it is made."""
         if self._fixed is None:
-            levels = (0,) + self.distinct_ranks + (self.n,)
-            count = factorial(self.n) // prod(
-                factorial(b - a) for a, b in zip(levels, levels[1:]))
-            if count > factorial(MAX_ORDERING_ELEMENTS):
-                raise OutOfRange(f"{self} has {count} fixed points; the "
-                                 f"limit is {MAX_ORDERING_ELEMENTS}!")
             self._fixed = tuple(enumerate_flags(FlagMatroid(
                 self.n, [uniform_matroid(k, self.n) for k in self.ranks])))
         return self._fixed
@@ -149,19 +155,14 @@ class FlagSpace:
             out.append(tuple(sorted(inside)))
         return tuple(out)
 
+    def orbits_at(self, chain):
+        """(other end, (i, j)) for the 1-dim orbit along each chart pair."""
+        return [(self.move(chain, i, j), (i, j))
+                for i, j in self.chart_pairs(chain)]
+
     def one_dim_orbits(self):
-        """Unordered fixed-point pairs joined by a 1-dim orbit, with the
-        pair (i, j) whose character t_j^{-1} t_i acts on it."""
-        seen = set()
-        out = []
-        for chain in self.fixed_points():
-            for i, j in self.chart_pairs(chain):
-                other = self.move(chain, i, j)
-                key = frozenset((chain, other))
-                if key not in seen:
-                    seen.add(key)
-                    out.append((chain, other, (i, j)))
-        return out
+        """Every 1-dim orbit once, as :func:`_orbits` lists them."""
+        return _orbits(self, self.fixed_points())
 
     def __eq__(self, other):
         return (type(other) is FlagSpace and self.n == other.n
@@ -195,29 +196,21 @@ class ProjProductSpace:
     def missing(self, hyperplane):
         return next(m for m in range(self.n) if m not in set(hyperplane))
 
-    def chart_pairs(self, point):
+    def orbits_at(self, point):
+        """(other end, (i, j)) for the 1-dim orbits through a point: the
+        line a goes to b along (a, b), the hyperplane trades i for m."""
         (a,), hyperplane = point
-        pairs = [(a, m) for m in range(self.n) if m != a]
         m = self.missing(hyperplane)
-        pairs += [(i, m) for i in hyperplane]
-        return sorted(pairs)
+        return ([(((b,), hyperplane), (a, b)) for b in range(self.n)
+                 if b != a]
+                + [(((a,), self.hyperplane(i)), (i, m)) for i in hyperplane])
 
-    def chart_characters(self, point):
-        return [_char(self.n, i, j) for i, j in self.chart_pairs(point)]
+    def chart_pairs(self, point):
+        return sorted(pair for _, pair in self.orbits_at(point))
 
     def one_dim_orbits(self):
-        out = []
-        pts = self.fixed_points()
-        for (line, hp) in pts:
-            a = line[0]
-            for b in range(a + 1, self.n):
-                out.append(((line, hp), ((b,), hp), (a, b)))
-            m = self.missing(hp)
-            for m2 in range(m + 1, self.n):
-                # orbit direction: the element leaving hp is m2, entering m
-                out.append(((line, hp), (line, self.hyperplane(m2)),
-                            (m2, m)))
-        return out
+        """Every 1-dim orbit once, as :func:`_orbits` lists them."""
+        return _orbits(self, self.fixed_points())
 
     def __eq__(self, other):
         return type(other) is ProjProductSpace and self.n == other.n
@@ -227,6 +220,18 @@ class ProjProductSpace:
 
     def __repr__(self):
         return f"ProjProductSpace(n={self.n})"
+
+
+def _orbits(space, points):
+    """The 1-dim orbits of the space with an end among the points, each
+    once as (smaller end, larger end, (i, j)) with (i, j) its pair at the
+    smaller end, sorted by that end and pair.  In both spaces the orbit
+    from p to q along (i, j) runs from q to p along (j, i)."""
+    found = set()
+    for p in points:
+        for q, (i, j) in space.orbits_at(p):
+            found.add((p, q, (i, j)) if p < q else (q, p, (j, i)))
+    return sorted(found, key=lambda orbit: (orbit[0], orbit[2], orbit[1]))
 
 
 class EquivariantClass:
@@ -293,10 +298,12 @@ class EquivariantClass:
         """Congruence f(x) = f(y) mod (1 - chi) along every 1-dim orbit:
         the two ends have the same residue (:meth:`LaurentPoly.residue`).
 
-        On a specialized class the congruence is taken in Z[z^±]: a
-        necessary condition for the class it came from, not a proof.
+        The walk starts from the support, as an orbit with neither end
+        there compares 0 with 0; the witness is the first failing orbit in
+        :meth:`one_dim_orbits` order.  On a specialized class the
+        congruence is taken in Z[z^±], a necessary condition only.
         """
-        for f1, f2, (i, j) in self.space.one_dim_orbits():
+        for f1, f2, (i, j) in _orbits(self.space, self.values):
             chi = self.char(i, j)
             if self.value(f1).residue(chi) != self.value(f2).residue(chi):
                 return Verdict(False, "congruence fails",
@@ -462,30 +469,32 @@ def to_nonequivariant(cls):
 def k_tutte(flag_matroid, weights=None):
     """Bivariate polynomial invariant of a flag matroid via localization.
 
-    Pipeline: localization class, product with the line-bundle weight,
-    pull-push to the line-hyperplane product through ranks (1, k, n-1),
-    triangular reduction.  Exponents stay below n in each variable by
-    construction.  The localization class y is GKM-checked in the torus
-    characters, and that check is the certificate.  The product needs no
+    Pipeline: localization class, twist by the line bundle O(1), pull-push
+    to the line-hyperplane product through ranks (1, k, n-1), triangular
+    reduction.  Exponents stay below n in each variable by construction.
+    The localization class y is GKM-checked in the torus characters, from
+    its support, and that check is the certificate.  The twist needs no
     check of its own: along an orbit with character chi, the exponents of
     O(1) at its ends differ by a multiple of chi, so the product's
     congruence is y's times a unit t^{e_F}.  Nor does the pulled-back
     class: each 1-dim orbit of Fl(1, k, n-1) projects to one point, where
     the difference is zero, or onto an orbit of Fl(k) with the same
-    character.  Then y and O(1) are specialized along t_i -> z^{w_i}, w
-    the given weights or 0, ..., n-1 (BadWeights, before any cone is
-    built, unless n distinct integers), and the product, the pull-push and
-    the reduction run in Z[z^±], with the same result for every such w, as
-    the module docstring shows.
+    character.  Then y is specialized along t_i -> z^{w_i}, w the given
+    weights or 0, ..., n-1 (BadWeights, before any cone is built, unless n
+    distinct integers), and O(1) is a shift by z^{w.e_F} at each basis
+    flag F, so no fixed point off y's support is listed.  The pull-push
+    and the reduction run in Z[z^±], with the same result for every such
+    w, as the module docstring shows.
     """
     n = flag_matroid.n
     if n < 2:
         raise OutOfRange("the construction needs n >= 2")
     guard_table(n)  # y's rank table bounds n before the weights are listed
     weights = tuple(range(n)) if weights is None else tuple(weights)
-    space = FlagSpace(n, flag_matroid.ranks)
+    space = FlagSpace(n, flag_matroid.ranks)  # OutOfRange past 10! points
     EquivariantClass(space, {}).specialize(weights)  # BadWeights, no cone
-    # y first: its rank table bounds n before O(1) lists every fixed point
-    y = y_class(flag_matroid).specialize(weights)
+    twisted = {chain: v.specialize(weights).shift(
+                   (sum(map(mul, weights, space.weight_vector(chain))),))
+               for chain, v in y_class(flag_matroid).values.items()}
     return to_nonequivariant(pushforward_to_pp(
-        y * o1_class(space).specialize(weights)))
+        EquivariantClass(space, twisted, weights)))

@@ -433,10 +433,6 @@ def _multiset_sub(a, b):
     return tuple(out)
 
 
-def _poly_product(nvars, exps):
-    return LaurentPoly.one(nvars).times_one_minus(exps)
-
-
 def binomial_fraction_sum(nvars, terms, times=()):
     """The Laurent polynomial prod_{a in times} (1 - t^a) * sum of
     num / prod_{a in den} (1 - t^a) over the pairs (num, den) in terms.

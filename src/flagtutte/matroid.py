@@ -19,8 +19,8 @@ MAX_TABLE_ELEMENTS = 20
 
 # The largest ground set whose n! orderings are walked (vertices of a
 # generalized permutohedron, the Gale test of a flag), and through 10! the
-# most fixed points a flag variety lists: 10! is 3.6 million, 11! is 40
-# million.
+# most fixed points a flag variety has, checked when the space is made:
+# 10! is 3.6 million, 11! is 40 million.
 MAX_ORDERING_ELEMENTS = 10
 
 # The largest ground set the Tutte routes on the basis list alone take

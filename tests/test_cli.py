@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -53,6 +54,11 @@ def run_capped(tmp_path, verb, doc, *extra):
 
 HUGE_LABEL_MATROID = {"type": "matroid", "n": 10**11,
                       "bases": [[10**11 - 1]]}
+# the complete flag of uniform matroids on 11 elements: 11! basis flags
+ELEVEN_FULL_FLAG = {"type": "flag_matroid", "constituents": [
+    {"type": "matroid", "n": 11,
+     "bases": [list(b) for b in itertools.combinations(range(11), k)]}
+    for k in range(1, 11)]}
 
 
 class TestCheck:
@@ -395,6 +401,15 @@ class TestBadInput:
     def test_huge_ground_set_refused_before_allocating(self, tmp_path, verb,
                                                        doc, extra):
         code, report, stderr = run_capped(tmp_path, verb, doc, *extra)
+        assert code == 1, stderr
+        assert report["ok"] is False and report["error"] == "OutOfRange"
+
+    @pytest.mark.parametrize("verb", ["ktutte", "charpoly", "yclass"])
+    def test_flag_space_past_ten_factorial_refused_before_listing(
+            self, tmp_path, verb):
+        # the flag space counts its fixed points when it is made, before
+        # the polytope lists the basis flags
+        code, report, stderr = run_capped(tmp_path, verb, ELEVEN_FULL_FLAG)
         assert code == 1, stderr
         assert report["ok"] is False and report["error"] == "OutOfRange"
 

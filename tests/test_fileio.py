@@ -5,12 +5,10 @@ import pytest
 from flagtutte.errors import (AxiomViolation, ParseError, SchemaError,
                               UnequalCardinality)
 from flagtutte.fileio import (as_flag_matroid, as_polymatroid, bivar_to_json,
-                              krational_to_json, laurent_to_json,
-                              load_object, matroid_to_json, parse_object,
-                              polymatroid_to_json)
+                              laurent_to_json, load_object, matroid_to_json,
+                              parse_object, polymatroid_to_json)
 from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import uniform_matroid
-from flagtutte.oracle import KRational
 
 
 class TestParse:
@@ -83,11 +81,6 @@ class TestWriters:
         doc = laurent_to_json(p)
         assert doc == {"vars": 2, "terms": [
             {"exp": [-1, 3], "coeff": "1"}, {"exp": [1, 0], "coeff": "2"}]}
-
-    def test_krational_includes_denominator(self):
-        kr = KRational(LaurentPoly.one(2), [(1, 0), (0, 1)])
-        doc = krational_to_json(kr)
-        assert doc["denominator"] == [[0, 1], [1, 0]]
 
     def test_bivar_json_stringifies_coefficients(self):
         doc = bivar_to_json(LaurentPoly(2, {(2, 0): 10 ** 30}))

@@ -14,7 +14,7 @@ from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
                                pullback, pushforward_to_pp, to_nonequivariant,
                                y_class)
 from flagtutte.lattice import count_lattice_points_of_table
-from flagtutte.laurent import LaurentPoly, _poly_product
+from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import (matroid_from_bases, matroid_from_matrix,
                                uniform_matroid)
 from flagtutte.oracle import KRational
@@ -133,15 +133,15 @@ def product_basis_classes(draw, max_n, specialized):
     polys = st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(
         lambda terms: LaurentPoly(nvars, terms))
     coeffs = {(a, b): draw(polys) for a in range(n) for b in range(n)}
-    space = ProjProductSpace(n)
+    space, one = ProjProductSpace(n), LaurentPoly.one(nvars)
     values = {}
     for point in space.fixed_points():
         (i,), m = point[0], space.missing(point[1])
         v = LaurentPoly.zero(nvars)
         for a in range(i + 1):
             for b in range(m + 1):
-                v = v + coeffs[(a, b)] * _poly_product(
-                    nvars, [chi(l, i) for l in range(a)]
+                v = v + coeffs[(a, b)] * one.times_one_minus(
+                    [chi(l, i) for l in range(a)]
                     + [chi(m, l) for l in range(b)])
         values[point] = v
     return EquivariantClass(space, values, weights), coeffs
@@ -151,13 +151,16 @@ def product_basis_classes(draw, max_n, specialized):
 def perturbed_matrix_y(draw):
     """y of a random matrix flag with one fixed point's value changed by a
     monomial or by a multiple of 1 - t^chi, chi a chart character there,
-    or left as it is."""
+    or one basis flag's value dropped, or left as it is."""
     y = y_class(draw(matrix_flags(5)))
     space, n = y.space, y.space.n
     at = draw(st.sampled_from(space.fixed_points()))
-    kind = draw(st.sampled_from(["monomial", "multiple", "none"]))
+    kind = draw(st.sampled_from(["monomial", "multiple", "drop", "none"]))
     bump = LaurentPoly.zero(n)
-    if kind == "monomial":
+    if kind == "drop":
+        at = draw(st.sampled_from(sorted(y.values)))
+        bump = -y.value(at)
+    elif kind == "monomial":
         bump = LaurentPoly.monomial(draw(st.tuples(*[st.integers(-2, 2)] * n)),
                                     draw(st.sampled_from([-2, -1, 1, 2])))
     elif kind == "multiple":
@@ -215,6 +218,12 @@ class TestFlagSpace:
             FlagSpace(11, tuple(range(1, 11))).fixed_points()
         assert len(FlagSpace(11, (3,)).fixed_points()) == 165
 
+    @pytest.mark.parametrize("ranks", [(1,), (5 * 10**10,), (1, 2)])
+    def test_huge_space_is_refused_when_made(self, ranks):
+        # the count stops once it passes 10!, long before n! is formed
+        with pytest.raises(OutOfRange):
+            FlagSpace(10**11, ranks)
+
     def test_bad_ranks(self):
         with pytest.raises(SpaceMismatch):
             FlagSpace(3, (2, 1))
@@ -242,6 +251,16 @@ class TestOrbits:
         orbits = space.one_dim_orbits()
         keys = [frozenset((a, b)) for a, b, _ in orbits]
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_product_space_lists_each_orbit_once(self, n):
+        # 2(n - 1) orbits at each of the n^2 points, two points an orbit
+        space = ProjProductSpace(n)
+        orbits = space.one_dim_orbits()
+        keys = {frozenset((a, b)) for a, b, _ in orbits}
+        assert len(orbits) == len(keys) == n * n * (n - 1)
+        for a, b, pair in orbits:
+            assert a < b and (b, pair) in space.orbits_at(a)
 
 
 class TestYClass:
@@ -321,7 +340,8 @@ def perturbed_y(draw):
     a, g = draw(small_polys(n)), draw(small_polys(n))
     values = {fp: y.value(fp) * a + g for fp in points}
     for fp in draw(st.lists(st.sampled_from(points), max_size=2)):
-        chart = _poly_product(n, space.chart_characters(fp))
+        chart = LaurentPoly.one(n).times_one_minus(
+            space.chart_characters(fp))
         values[fp] = values[fp] + draw(small_polys(n)) * chart
     bump = draw(st.integers(-2, 2))
     at = draw(st.sampled_from(points))
@@ -584,6 +604,31 @@ class TestKTutte:
         chi3 = characteristic_poly(k_tutte(f), 5)
         assert chi3 == [-6, 16, -14, 4]
         assert log_concavity(chi2) and log_concavity(chi3)
+
+
+class TestSupportWalk:
+    @pytest.mark.parametrize("name", ["flag_u23_5", "u36", "pappus8_matrix"])
+    def test_k_tutte_lists_no_point_off_the_support(self, name,
+                                                    monkeypatch):
+        # O(1) is a shift at each basis flag and GKM walks from y's
+        # support, so no fixed point is listed and no class multiplied
+        if name == "u36":
+            flag = flag_from_constituents([uniform_matroid(3, 6)])
+        else:
+            flag = fixture_flag(name)
+        if name == "flag_u23_5":  # the multivariate pipeline, unspecialized
+            want = to_nonequivariant(pushforward_to_pp(coarse_class(flag)))
+        else:
+            (m,) = flag.constituents
+            want = tutte_rank_nullity(m)
+
+        def forbidden(*args):
+            raise AssertionError("k_tutte walked the whole space")
+
+        monkeypatch.setattr(FlagSpace, "fixed_points", forbidden)
+        monkeypatch.setattr(EquivariantClass, "__mul__", forbidden)
+        monkeypatch.setattr("flagtutte.ktheory.o1_class", forbidden)
+        assert k_tutte(flag) == want
 
 
 class TestPappus:

@@ -316,11 +316,16 @@ def chart_of_flag_vertex(n, ranks, v):
             for i, j in sorted(pairs)]
 
 
+def matrix_rows(n):
+    """Two or three rows of n entries; most have rank 2 or 3, so their
+    base polytopes hold several points."""
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=2, max_size=3)
+
+
 class TestArcCones:
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-        min_size=1, max_size=3)))
+    @given(st.integers(3, 5).flatmap(matrix_rows))
     def test_arc_path_matches_oracle_on_random_matroids(self, rows):
         p = base_polytope(matroid_from_matrix(rows))
         assert_arc_pieces_are_exact(p, lambda v: chart_of_vertex(p.n, v))
@@ -605,13 +610,6 @@ def reference_is_normal(p, kmax):
                 return Verdict(False, f"point of {k}P not a {k}-fold sum",
                                witness=q)
     return Verdict(True)
-
-
-def matrix_rows(n):
-    """Two or three rows of n entries; most have rank 2 or 3, so their
-    base polytopes hold several points."""
-    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                    min_size=2, max_size=3)
 
 
 class TestSharedSearch:

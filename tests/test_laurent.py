@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flagtutte.errors import (BadWeights, CheckFailed, DimensionMismatch,
                               InexactDivision, PoleAtOne)
-from flagtutte.laurent import (LaurentPoly, _poly_product, _unpack,
+from flagtutte.laurent import (LaurentPoly, _unpack,
                                binomial_fraction_sum, format_poly)
 from flagtutte.oracle import KRational, evaluate_at_one
 
@@ -448,13 +448,13 @@ class TestBinomialFractionSum:
         # whole sum equal p
         nums = [data.draw(small_polys) for _ in dens]
         last = [a for den in dens for a in den]
-        tail = p * _poly_product(2, last)
+        tail = p * LaurentPoly.one(2).times_one_minus(last)
         for k, num in enumerate(nums):
             others = [a for j, den in enumerate(dens) if j != k for a in den]
-            tail = tail - num * _poly_product(2, others)
+            tail = tail - num * LaurentPoly.one(2).times_one_minus(others)
         terms = list(zip(nums, dens)) + [(tail, last)]
         assert binomial_fraction_sum(2, terms, times) == \
-            p * _poly_product(2, times)
+            p * LaurentPoly.one(2).times_one_minus(times)
 
     def test_sum_that_is_not_a_polynomial_raises(self):
         one = LaurentPoly.one(1)

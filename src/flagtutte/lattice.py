@@ -12,9 +12,10 @@ two by an interval; the same walk lists the points or only counts them.
 The cone of a generalized permutohedron at a vertex is spanned by its edges
 there, each parallel to some e_i - e_j.  Edges come from one tight-set
 adjacency per polytope, and the edge directions are certified as the
-cone's rays without linear programming: each must be e_i - e_j, and the
-arcs i -> j must have no cycle (the cone is pointed) and no shortcut (each
-ray is extreme).  The exact simplex of :mod:`flagtutte.linalg` finds the
+cone's rays without linear programming: each must be e_i - e_j, and one
+reachability closure of the arcs i -> j shows that they have no cycle
+(the cone is pointed) and no shortcut (each ray is extreme), with no
+topological order.  The exact simplex of :mod:`flagtutte.linalg` finds the
 rays of every other cone and is the oracle the edge rays are tested
 against; no polytope routine calls it.
 
@@ -40,11 +41,12 @@ the arc path is tested against, and is imported only when a cone needs it.
 
 import itertools
 
-from .errors import (CheckFailed, NegativeShift, NoDecomposition, NotAVertex,
-                     NotPointed, OutOfRange, Verdict)
+from .errors import (CheckFailed, DimensionMismatch, NegativeShift,
+                     NoDecomposition, NotAVertex, NotPointed, OutOfRange,
+                     Verdict)
 from . import linalg
 from .laurent import LaurentPoly, _vadd, _vsub, binomial_fraction_sum
-from .matroid import guard_orderings
+from .matroid import _find, guard_orderings
 from .polyflag import (_greedy_vertex, enumerate_flags, flag_weight,
                        polymatroid_of_flag)
 
@@ -346,12 +348,6 @@ class RationalCone:
             self._rays = tuple(sorted(work))
         return self._rays
 
-    def dim(self):
-        return linalg.matrix_rank(self.generators) if self.generators else 0
-
-    def contains(self, point):
-        return linalg.in_cone(self.generators, point)
-
     def __repr__(self):
         return f"RationalCone({list(self.generators)})"
 
@@ -380,48 +376,40 @@ def _arc(r):
 def edge_cone(directions, n):
     """Pointed cone over edge directions of a generalized permutohedron.
 
-    Each primitive direction must be some e_i - e_j, read as the arc
-    i -> j; anything else raises CheckFailed.  The cone is pointed exactly
-    when the arcs have no directed cycle (a cycle sums to zero, so the cone
-    holds a line: NotPointed), and an arc i -> j is an extreme ray exactly
-    when no other path leads from i to j (CheckFailed otherwise).  The
-    certified directions are stored as the cone's rays.
+    Each direction must have n coordinates (DimensionMismatch otherwise)
+    and, made primitive, be some e_i - e_j, read as the arc i -> j;
+    anything else raises CheckFailed.  One reachability closure over the
+    nodes the arcs touch gives both verdicts: a node that reaches itself
+    lies on a directed cycle, which sums to zero, so the cone holds a line
+    (NotPointed); an arc i -> j is an extreme ray exactly when no other
+    path leads from i to j (CheckFailed otherwise, on the first such arc
+    in generator order).  The certified directions are stored as its rays.
     """
+    if any(len(d) != n for d in directions):
+        raise DimensionMismatch(f"edge directions need {n} coordinates")
     cone = RationalCone(directions, n=n)
-    succ, arc_ray = {}, {}
+    arcs, succ = [], [0] * n
     for r in cone.generators:
         arc = _arc(r)
         if arc is None:
             raise CheckFailed("vertex cone",
                               "edge direction is not e_i - e_j", r)
-        i, j = arc
-        succ.setdefault(i, set()).add(j)
-        arc_ray[i, j] = r
-    # Kahn's algorithm: a topological order exists iff there is no cycle
-    nodes = set(succ).union(*succ.values())
-    indegree = dict.fromkeys(nodes, 0)
-    for targets in succ.values():
-        for j in targets:
-            indegree[j] += 1
-    order = [i for i in sorted(nodes) if not indegree[i]]
-    for i in order:
-        for j in sorted(succ.get(i, ())):
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-    if len(order) < len(nodes):
+        arcs.append(arc)
+        succ[arc[0]] |= 1 << arc[1]
+    nodes = sorted({k for arc in arcs for k in arc})
+    # reach[i]: the nodes that one or more arcs lead to from i (Warshall)
+    reach = succ[:]
+    for k in nodes:
+        for i in nodes:
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    if any(reach[k] >> k & 1 for k in nodes):
         raise NotPointed("edge directions form a directed cycle, "
                          "so the cone contains a line")
-    # reach[i]: the nodes that one or more arcs lead to from i
-    reach = {}
-    for i in reversed(order):
-        targets = succ.get(i, set())
-        beyond = set().union(*(reach[j] for j in targets))
-        if targets & beyond:
+    for r, (i, j) in zip(cone.generators, arcs):
+        if any(succ[i] >> k & 1 and reach[k] >> j & 1 for k in nodes):
             raise CheckFailed("vertex cone",
-                              "edge direction is not an extreme ray",
-                              arc_ray[i, min(targets & beyond)])
-        reach[i] = targets | beyond
+                              "edge direction is not an extreme ray", r)
     cone._rays = cone.generators
     return cone
 
@@ -468,14 +456,13 @@ class HalfOpenSimplicialCone:
 
 def _is_forest(arcs):
     """Whether the arcs, directions ignored, have no cycle: each joins two
-    components of the arcs before it (node bitmasks)."""
-    comps = []
+    components of the arcs before it (union-find)."""
+    parent = list(range(max(map(max, arcs), default=-1) + 1))
     for i, j in arcs:
-        ci = next((c for c in comps if c >> i & 1), 1 << i)
-        cj = next((c for c in comps if c >> j & 1), 1 << j)
-        if ci == cj:
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri == rj:
             return False
-        comps = [c for c in comps if c != ci and c != cj] + [ci | cj]
+        parent[ri] = rj
     return True
 
 
@@ -512,13 +499,10 @@ def _arc_pulling_triangulation(arcs, indices):
         return [tuple(indices)]
     (i, j), out = arcs[0], []
     comp = _grow(1 << i, arcs)
-    free = [k for k in range(comp.bit_length())
-            if comp >> k & 1 and k != i and k != j]
-    for choice in range(1 << len(free)):
-        u = 1 << i
-        for b, k in enumerate(free):
-            if choice >> b & 1:
-                u |= 1 << k
+    others = sub = comp & ~(1 << i | 1 << j)
+    for _ in range(1 << others.bit_count()):
+        sub = (sub - others) & others  # the submasks of others, ascending
+        u = sub | 1 << i
         w = comp & ~u
         if any(w >> a & 1 and u >> b & 1 for a, b in arcs):
             continue
@@ -578,8 +562,6 @@ def triangulate(cone):
     any other cone goes through :func:`flagtutte.oracle._fraction_pieces`.
     """
     rays = cone.rays()
-    if not rays:
-        return [HalfOpenSimplicialCone((), ())]
     arcs = [_arc(r) for r in rays]
     if None in arcs:
         from .oracle import _fraction_pieces

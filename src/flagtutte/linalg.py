@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Gaussian elimination on ``fractions.Fraction`` matrices, behind the rank of
-a matrix (matrix matroids and subspace polymatroids), primitive integer
-vectors (cone generators), and a phase-one simplex for exact linear
-feasibility: the rays of a general cone, and the cone oracle of the tests.
+a matrix (matrix matroids and subspace polymatroids); primitive integer
+vectors (cone generators) by one n-ary ``math.gcd``; and a phase-one
+simplex for exact linear feasibility: the rays of a general cone, and the
+cone oracle of the tests.
 No polytope routine calls the simplex, since every polytope carries its
 submodular table.  Nullspaces, exact solutions, the integer
 diagonalization and the hull test are oracles, in :mod:`flagtutte.oracle`.
@@ -50,16 +51,9 @@ def matrix_rank(rows):
     return len(row_reduce(frac_rows(rows))[1])
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)

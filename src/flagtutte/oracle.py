@@ -25,7 +25,7 @@ production module imports this one at load time.
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd, prod
+from math import ceil, floor, lcm, prod
 
 from .errors import BadWeights, CheckFailed, InexactDivision, PoleAtOne
 from . import linalg
@@ -74,11 +74,8 @@ def nullspace(rows):
 
 def clear_denominators(v):
     """Scale a rational vector to a primitive integer vector, same direction."""
-    lcm = 1
-    for x in v:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return linalg.primitive([int(Fraction(x) * lcm) for x in v])
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    return linalg.primitive([int(Fraction(x) * scale) for x in v])
 
 
 def integer_diagonalize(rows):
@@ -352,10 +349,10 @@ class KRational:
     def __add__(self, other):
         if isinstance(other, LaurentPoly):
             other = KRational.from_poly(other)
-        lcm = _multiset_max(self.den, other.den)
-        num = (self.num.times_one_minus(_multiset_sub(lcm, self.den))
-               + other.num.times_one_minus(_multiset_sub(lcm, other.den)))
-        return KRational(num, lcm)
+        common = _multiset_max(self.den, other.den)
+        num = (self.num.times_one_minus(_multiset_sub(common, self.den))
+               + other.num.times_one_minus(_multiset_sub(common, other.den)))
+        return KRational(num, common)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):

@@ -1,15 +1,16 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flagtutte import lattice, linalg, oracle
-from flagtutte.errors import (CheckFailed, FlagTutteError, InexactDivision,
-                              NegativeShift, NoDecomposition, NotAVertex,
-                              NotPointed, OutOfRange, Verdict)
+from flagtutte.errors import (CheckFailed, DimensionMismatch, FlagTutteError,
+                              InexactDivision, NegativeShift, NoDecomposition,
+                              NotAVertex, NotPointed, OutOfRange, Verdict)
 from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.ktheory import FlagSpace
 from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
@@ -195,6 +196,26 @@ def assert_edge_rays_match_lp(p):
         assert cone_at_vertex(p, v).rays() == lp_cone_at_vertex(p, v).rays()
 
 
+@st.composite
+def arc_directions(draw):
+    """Some e_i - e_j over 2-6 nodes, each possibly doubled; cycles,
+    antiparallel pairs, repeats and shortcuts are all allowed.  Half the
+    draws point every arc along a random order of the nodes, so that they
+    have no cycle and often several shortcuts."""
+    n, size = draw(st.integers(2, 6)), draw(st.integers(0, 8))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1),
+                                   st.integers(1, 2))
+                         .filter(lambda a: a[0] != a[1]),
+                         min_size=size, max_size=size))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        arcs = [(*sorted((i, j), key=rank.__getitem__), c)
+                for i, j, c in arcs]
+    return n, [tuple(c * ((k == i) - (k == j)) for k in range(n))
+               for i, j, c in arcs]
+
+
 class TestEdgeCones:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda n: st.lists(
@@ -240,9 +261,46 @@ class TestEdgeCones:
         assert info.value.stage == "vertex cone"
         assert info.value.witness == (1, 0, -1)
 
+    def test_shortcut_over_a_longer_path_fails(self):
+        # 0 -> 2 and 0 -> 3 both shortcut the path 0 -> 1 -> 2 -> 3; the
+        # witness is the first of them in generator order
+        with pytest.raises(CheckFailed) as info:
+            edge_cone([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1),
+                       (1, 0, 0, -1), (1, 0, -1, 0)], 4)
+        assert info.value.stage == "vertex cone"
+        assert info.value.witness == (1, 0, -1, 0)
+
     def test_directions_are_made_primitive(self):
         cone = edge_cone([(0, 2, -2), (1, 0, -1)], 3)
         assert cone.rays() == ((0, 1, -1), (1, 0, -1))
+
+    def test_direction_of_another_length_fails(self):
+        with pytest.raises(DimensionMismatch):
+            edge_cone([(1, -1, 0), (1, -1)], 3)
+        # an arc past the n nodes is refused before any closure is built
+        with pytest.raises(DimensionMismatch):
+            edge_cone([(1, -1, 0), (0, 0, 1, -1)], 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arc_directions())
+    def test_verdicts_match_the_lp_oracle(self, case):
+        n, dirs = case
+        lp = RationalCone(dirs, n=n)
+        if not lp.is_pointed():
+            # a cycle wins over any shortcut
+            with pytest.raises(NotPointed):
+                edge_cone(dirs, n)
+            return
+        gens = lp.generators
+        redundant = [g for k, g in enumerate(gens)
+                     if linalg.in_cone(gens[:k] + gens[k + 1:], g)]
+        if redundant:
+            with pytest.raises(CheckFailed) as info:
+                edge_cone(dirs, n)
+            assert info.value.stage == "vertex cone"
+            assert info.value.witness == redundant[0]
+        else:
+            assert edge_cone(dirs, n).rays() == lp.rays()
 
 
 def fraction_numerator(cone, denom):
@@ -450,6 +508,73 @@ class TestParallelepiped:
         c = HalfOpenSimplicialCone([(1, 1, 0), (1, -1, 0)], (False, False))
         pts = c.parallelepiped_points()
         assert pts == [(0, 0, 0), (1, 0, 0)]
+
+
+def reference_is_forest(arcs):
+    """The forest test by a list of component bitmasks, merged per arc."""
+    comps = []
+    for i, j in arcs:
+        ci = next((c for c in comps if c >> i & 1), 1 << i)
+        cj = next((c for c in comps if c >> j & 1), 1 << j)
+        if ci == cj:
+            return False
+        comps = [c for c in comps if c != ci and c != cj] + [ci | cj]
+    return True
+
+
+def reference_primitive(v):
+    """The primitive vector by a two-argument gcd folded over the entries."""
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
+    if g <= 1:
+        return tuple(v)
+    return tuple(x // g for x in v)
+
+
+def reference_clear_denominators(v):
+    """The integer direction by a two-argument lcm folded over the
+    denominators."""
+    scale = 1
+    for x in v:
+        d = Fraction(x).denominator
+        scale = scale * d // gcd(scale, d)
+    return reference_primitive([int(Fraction(x) * scale) for x in v])
+
+
+class TestStandardLibraryHelpers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                    max_size=8))
+    @example([])
+    @example([(0, 1), (1, 0)])
+    @example([(0, 1), (1, 2), (2, 0)])
+    @example([(3, 1), (0, 2), (2, 3)])
+    def test_forest_test_agrees_with_the_reference(self, arcs):
+        assert lattice._is_forest(arcs) == reference_is_forest(arcs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-12, 12).map(lambda x: 6 * x)
+                    | st.integers(-40, 40), max_size=6))
+    @example([])
+    @example([0, 0, 0])
+    @example([-4, 6, 0])
+    @example([-3])
+    @example([7, -7, 14])
+    def test_primitive_agrees_with_the_reference(self, v):
+        assert linalg.primitive(v) == reference_primitive(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=12, min_value=-20,
+                                 max_value=20) | st.integers(-9, 9),
+                    max_size=6))
+    @example([])
+    @example([0, 0])
+    @example([Fraction(-1, 2), Fraction(3, 4), 0])
+    @example([Fraction(-6), Fraction(9, 3)])
+    def test_clear_denominators_agrees_with_the_reference(self, v):
+        assert oracle.clear_denominators(v) == \
+            reference_clear_denominators(v)
 
 
 class TestHilbert:

@@ -52,7 +52,7 @@ def _from_shifted(coeffs):
 def _corank_nullity_counts(matroid):
     """Number of subsets with each (corank, nullity) pair."""
     rk = matroid.k
-    return Counter((rk - r, bin(m).count("1") - r)
+    return Counter((rk - r, m.bit_count() - r)
                    for m, r in enumerate(matroid.rank_table()))
 
 

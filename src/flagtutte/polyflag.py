@@ -15,9 +15,9 @@ from fractions import Fraction
 from .errors import (AxiomViolation, MismatchedGroundSets, NotConcordant,
                      NotNested, OutOfRange, RankBoundTooSmall, Verdict)
 from . import linalg
-from .matroid import (Matroid, _mask, _positions, check_ordering,
-                      check_rank_axioms, gale_key, guard_orderings,
-                      matroid_from_matrix)
+from .matroid import (Matroid, _bits, _first_drop, _mask, _positions,
+                      check_ordering, check_rank_axioms, gale_key,
+                      guard_orderings, matroid_from_matrix)
 
 
 class Polymatroid:
@@ -141,26 +141,20 @@ def vertex_from_ordering(p, order):
 
 
 def is_quotient(n_matroid, m_matroid):
-    """Rank criterion for matroid quotients, exhaustively over nested pairs."""
+    """Rank criterion for matroid quotients: r_M - r_N is monotone."""
     return quotient_witness(n_matroid, m_matroid) is None
 
 
 def quotient_witness(n_matroid, m_matroid):
-    """A nested pair violating the quotient criterion, or None."""
+    """A nested pair violating the quotient criterion, or None: the first
+    single-element step that lowers r_M - r_N (see matroid._first_drop)."""
     if n_matroid.n != m_matroid.n:
         raise MismatchedGroundSets(
             f"{n_matroid.n} vs {m_matroid.n} elements")
-    rn, rm = n_matroid.rank_table(), m_matroid.rank_table()
-    for y in range(1 << n_matroid.n):
-        x = y
-        while True:
-            if rm[y] - rm[x] < rn[y] - rn[x]:
-                return (tuple(i for i in range(n_matroid.n) if x >> i & 1),
-                        tuple(i for i in range(n_matroid.n) if y >> i & 1))
-            if x == 0:
-                break
-            x = (x - 1) & y
-    return None
+    diff = [a - b for a, b in zip(m_matroid.rank_table(),
+                                  n_matroid.rank_table())]
+    drop = _first_drop(diff, n_matroid.n)
+    return None if drop is None else tuple(tuple(_bits(m)) for m in drop)
 
 
 class FlagMatroid:
@@ -185,7 +179,9 @@ class FlagMatroid:
 
 
 def flag_from_constituents(matroids):
-    """Validate nondecreasing ranks and pairwise concordance."""
+    """Validate nondecreasing ranks and that each constituent is a quotient
+    of the next, else NotConcordant(i, i + 1, witness).  That suffices: a
+    sum of monotone r_k - r_j and r_j - r_i is monotone."""
     matroids = list(matroids)
     if not matroids:
         raise NotConcordant(0, 0, None)
@@ -198,11 +194,10 @@ def flag_from_constituents(matroids):
         raise OutOfRange(f"constituent ranks {ranks} must lie in 1..{n - 1}")
     if any(a > b for a, b in zip(ranks, ranks[1:])):
         raise NotConcordant(0, 0, tuple(ranks))
-    for i in range(len(matroids)):
-        for j in range(i + 1, len(matroids)):
-            witness = quotient_witness(matroids[i], matroids[j])
-            if witness is not None:
-                raise NotConcordant(i, j, witness)
+    for i, (small, big) in enumerate(zip(matroids, matroids[1:])):
+        witness = quotient_witness(small, big)
+        if witness is not None:
+            raise NotConcordant(i, i + 1, witness)
     return FlagMatroid(matroids[0].n, matroids)
 
 

@@ -669,6 +669,43 @@ class TestLongerFlags:
         assert all(c >= 0 for c in kt.terms.values())
 
 
+# k_tutte of the two-step uniform flags U(a,n) inside U(b,n) with a rank gap
+# of at least 2, pinned whole: three of them have negative coefficients
+UNIFORM_TWO_STEP_K_TUTTE = {
+    (1, 3, 5): {(0, 3): 1, (0, 4): 4, (1, 2): 3, (1, 3): 9, (1, 4): 3,
+                (2, 1): 3, (2, 2): 6, (2, 3): -1, (2, 4): 2, (3, 0): 1,
+                (3, 1): 1, (3, 2): 1, (3, 3): 1, (3, 4): 1},
+    (1, 4, 5): {(0, 4): 1, (1, 3): 4, (1, 4): 1, (2, 2): 6, (2, 3): -2,
+                (2, 4): 1, (3, 1): 4, (3, 2): -2, (3, 3): 2, (3, 4): 1,
+                (4, 0): 1, (4, 1): 1, (4, 2): 1, (4, 3): 1, (4, 4): 1},
+    (2, 4, 5): {(0, 3): 1, (1, 2): 3, (1, 3): 1, (2, 1): 3, (2, 2): 6,
+                (2, 3): 1, (3, 0): 1, (3, 1): 9, (3, 2): -1, (3, 3): 1,
+                (4, 0): 4, (4, 1): 3, (4, 2): 2, (4, 3): 1},
+    (1, 3, 4): {(0, 3): 1, (1, 2): 3, (1, 3): 1, (2, 1): 3, (2, 3): 1,
+                (3, 0): 1, (3, 1): 1, (3, 2): 1, (3, 3): 1},
+}
+
+
+class TestSignChangingFlags:
+    @pytest.mark.parametrize("a, b, n", sorted(UNIFORM_TWO_STEP_K_TUTTE))
+    def test_uniform_two_step_flag_polynomial(self, a, b, n):
+        f = flag_from_constituents([uniform_matroid(a, n),
+                                    uniform_matroid(b, n)])
+        assert k_tutte(f) == LaurentPoly(2, UNIFORM_TWO_STEP_K_TUTTE[a, b, n])
+
+    def test_negative_terms_and_duality(self):
+        negative = {case: {e: c for e, c in terms.items() if c < 0}
+                    for case, terms in UNIFORM_TWO_STEP_K_TUTTE.items()}
+        assert negative == {(1, 3, 5): {(2, 3): -1},
+                            (1, 4, 5): {(3, 2): -2, (2, 3): -2},
+                            (2, 4, 5): {(3, 2): -1},
+                            (1, 3, 4): {}}
+        # U(1,5) in U(3,5) and U(2,5) in U(4,5) are dual flags
+        swapped = {(j, i): c
+                   for (i, j), c in UNIFORM_TWO_STEP_K_TUTTE[1, 3, 5].items()}
+        assert swapped == UNIFORM_TWO_STEP_K_TUTTE[2, 4, 5]
+
+
 class TestRandomizedSpecialization:
     def test_random_matrix_matroids(self):
         import random

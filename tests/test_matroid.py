@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flagtutte.errors import (EmptyBases, ExchangeViolation,
                               MismatchedGroundSets, NotAMatroid, OutOfRange,
                               UnequalCardinality, Verdict)
-from flagtutte.matroid import (Matroid, check_rank_axioms,
+from flagtutte.matroid import (Matroid, _first_drop, check_rank_axioms,
                                cover_by_independent, gale_leq, gale_max,
                                gale_max_family, matroid_from_bases,
                                matroid_from_graph, matroid_from_matrix,
@@ -139,6 +139,38 @@ class TestRankAxioms:
             if m.n <= 8:
                 assert check_rank_axioms(m.rank_table(), m.n)
 
+    def test_decreasing_table_fails_monotonicity(self):
+        # r({0}) = 2 > r({0, 1}) = 1 passes R1 in polymatroid mode
+        v = check_rank_axioms((0, 2, 1, 1), 2, polymatroid=True)
+        assert not v and v.reason.startswith("R2")
+        assert v.witness == ((0,), (0, 1))
+
+
+def reference_first_drop(table, n):
+    """Every single-element step (m, m | 1 << i) that lowers the table,
+    taken in (m, i) order; the first of them, or None."""
+    drops = [(m, m | 1 << i) for m in range(1 << n) for i in range(n)
+             if not m >> i & 1 and table[m | 1 << i] < table[m]]
+    return drops[0] if drops else None
+
+
+def is_monotone_on_nested_pairs(table, n):
+    return all(table[x] <= table[y] for y in range(1 << n)
+               for x in range(1 << n) if x & y == x)
+
+
+class TestFirstDrop:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 3), min_size=1 << n,
+                             max_size=1 << n))))
+    def test_first_step_down_and_none_iff_monotone(self, case):
+        n, table = case
+        drop = _first_drop(table, n)
+        assert drop == reference_first_drop(table, n)
+        # single-element steps decide monotonicity over all nested pairs
+        assert (drop is None) == is_monotone_on_nested_pairs(table, n)
+
 
 class TestMinorsAndDuality:
     def test_delete_uniform(self):
@@ -206,6 +238,54 @@ class TestCircuits:
         for m in fixtures.values():
             if m.n <= 5:
                 assert m.cocircuits() == m.dual().circuits()
+
+
+def reference_circuits(m):
+    """Minimal dependent sets by size, skipping supersets of those found."""
+    table = m.rank_table()
+    circuits = []
+    circuit_masks = []
+    for size in range(1, m.n + 1):
+        for comb in itertools.combinations(range(m.n), size):
+            mask = sum(1 << e for e in comb)
+            if table[mask] == size:
+                continue  # independent
+            if any(cm & mask == cm for cm in circuit_masks):
+                continue  # contains a smaller circuit
+            circuit_masks.append(mask)
+            circuits.append(comb)
+    return sorted(circuits)
+
+
+@st.composite
+def matrices_with_loops_and_parallels(draw):
+    """Rows of a random matrix whose columns are extended by a zero column
+    (a loop) and by a copy of a column (a parallel pair) when drawn."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n,
+                                  max_size=n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows = [row + [0] for row in rows]
+    if draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        rows = [row + [row[c]] for row in rows]
+    return rows
+
+
+class TestCircuitRule:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices_with_loops_and_parallels())
+    def test_matches_reference_on_generated_matroids(self, rows):
+        m = matroid_from_matrix(rows)
+        assert m.circuits() == reference_circuits(m)
+
+    def test_matches_reference_on_fixtures(self, fixtures):
+        for m in fixtures.values():
+            assert m.circuits() == reference_circuits(m)
+
+    def test_loop_and_parallel_pair(self):
+        m = matroid_from_matrix([[1, 0, 1, 0], [0, 1, 0, 0]])
+        assert m.circuits() == [(0, 2), (3,)]
 
 
 class TestComponents:

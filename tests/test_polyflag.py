@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flagtutte.errors import (AxiomViolation, NotConcordant, NotNested,
                               OutOfRange, RankBoundTooSmall)
@@ -13,7 +14,7 @@ from flagtutte.polyflag import (enumerate_flags, flag_check_gale,
                                 polymatroid_from_rank,
                                 polymatroid_from_subspaces,
                                 polymatroid_of_flag, polymatroid_to_matroid,
-                                vertex_from_ordering)
+                                quotient_witness, vertex_from_ordering)
 
 from conftest import PAPPUS8_ROWS, doubled_points_rank2, m2_rank2, non_pappus
 
@@ -110,6 +111,89 @@ class TestQuotients:
                 (1, 1, 1), (3, 1, 1), (1, 1, 2), (3, 1, 2)]
         rows = [[c[i] for c in cols] for i in range(3)]
         assert matroid_from_matrix(rows) == non_pappus().delete(8)
+
+
+def reference_quotient_witness(n_matroid, m_matroid):
+    """The first nested pair X inside Y, Y ascending and X descending over
+    the submasks of Y, with r_M(Y) - r_M(X) < r_N(Y) - r_N(X), or None."""
+    rn, rm = n_matroid.rank_table(), m_matroid.rank_table()
+    for y in range(1 << n_matroid.n):
+        x = y
+        while True:
+            if rm[y] - rm[x] < rn[y] - rn[x]:
+                return (tuple(i for i in range(n_matroid.n) if x >> i & 1),
+                        tuple(i for i in range(n_matroid.n) if y >> i & 1))
+            if x == 0:
+                break
+            x = (x - 1) & y
+    return None
+
+
+def rows_of(n, count):
+    return st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                    min_size=count, max_size=count)
+
+
+@st.composite
+def candidate_chains(draw, length):
+    """`length` column matroids on one ground set with nondecreasing ranks
+    in 1..n-1: the row prefixes of one matrix, a chain of quotients, or
+    matroids of separate matrices sorted by rank, mostly not concordant."""
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        rows = draw(rows_of(n, n - 1))
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=length,
+                                    max_size=length)))
+        chain = [matroid_from_matrix(rows[:c]) for c in cuts]
+    else:
+        chain = sorted((matroid_from_matrix(draw(rows_of(n, c))) for c in
+                        draw(st.lists(st.integers(1, n - 1),
+                                      min_size=length, max_size=length))),
+                       key=lambda m: m.k)
+    assume(chain[0].k >= 1)
+    return chain
+
+
+class TestSingleStepQuotients:
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_chains(2))
+    def test_agrees_with_the_reference(self, pair):
+        n, m = pair
+        witness = quotient_witness(n, m)
+        assert is_quotient(n, m) == (reference_quotient_witness(n, m)
+                                     is None)
+        if witness is not None:
+            x, y = map(set, witness)
+            assert x <= y and len(y - x) == 1
+            assert m.rank(y) - m.rank(x) < n.rank(y) - n.rank(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3).flatmap(candidate_chains))
+    def test_concordance_by_consecutive_pairs(self, chain):
+        failing = [(i, j) for i, j in
+                   itertools.combinations(range(len(chain)), 2)
+                   if reference_quotient_witness(chain[i], chain[j])
+                   is not None]
+        if not failing:
+            assert flag_from_constituents(chain).constituents == tuple(chain)
+            return
+        with pytest.raises(NotConcordant) as info:
+            flag_from_constituents(chain)
+        i, j = info.value.i, info.value.j
+        assert j == i + 1 and (i, j) in failing
+        assert info.value.witness == quotient_witness(chain[i], chain[j])
+
+    def test_failure_names_the_consecutive_pair(self):
+        # U(1,3) is a quotient of U(2,3), and neither is one of the matroid
+        # with the single basis {0, 1}: the pairs (0, 2) and (1, 2) fail
+        from flagtutte.matroid import matroid_from_bases
+        chain = [uniform_matroid(1, 3), uniform_matroid(2, 3),
+                 matroid_from_bases(3, [(0, 1)])]
+        assert reference_quotient_witness(chain[0], chain[2]) is not None
+        with pytest.raises(NotConcordant) as info:
+            flag_from_constituents(chain)
+        assert (info.value.i, info.value.j) == (1, 2)
+        assert info.value.witness == ((), (2,))
 
 
 class TestFlagMatroids:

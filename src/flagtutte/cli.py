@@ -8,9 +8,14 @@ along (``--weights``; ``yclass`` only checks them, BadWeights otherwise).
 Exit codes: 0 success, 1 domain error (with a machine-readable report),
 2 usage error.
 
+Each verb ``cmd_<verb>(obj, args)`` maps the loaded document to a payload
+and only returns it; :func:`main` alone loads the input, reports a domain
+error and writes stdout, as JSON or as indented text.
+
 Each verb imports what it runs when it runs, so a call compiles only the
 modules of its verb: ``check`` needs no polytope, Laurent or localization
-code, and a usage error loads nothing beyond this module and
+code, and a usage error, which ends before :func:`main` imports
+:mod:`flagtutte.fileio`, loads nothing beyond this module and
 :mod:`flagtutte.errors`.
 """
 
@@ -19,14 +24,6 @@ import json
 import sys
 
 from .errors import FlagTutteError
-
-
-def _emit(payload, args):
-    if args.output == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        _emit_text(payload)
-    return 0
 
 
 def _emit_text(payload, indent=""):
@@ -51,9 +48,7 @@ def _emit_text(payload, indent=""):
 def _poly_payload(p):
     from . import fileio
     from .invariants import format_bivar
-    out = fileio.bivar_to_json(p)
-    out["pretty"] = format_bivar(p)
-    return out
+    return {**fileio.bivar_to_json(p), "pretty": format_bivar(p)}
 
 
 def _object_summary(obj):
@@ -72,18 +67,14 @@ def _object_summary(obj):
     return {"kind": "matroid_list", "count": len(obj)}
 
 
-def cmd_check(args):
-    from . import fileio
-    obj = fileio.load_object(args.input)
-    payload = {"ok": True}
-    payload.update(_object_summary(obj))
-    return _emit(payload, args)
+def cmd_check(obj, args):
+    return {"ok": True, **_object_summary(obj)}
 
 
-def cmd_tutte(args):
+def cmd_tutte(obj, args):
     from . import fileio
     from .invariants import tutte_activity, tutte_delcon, tutte_rank_nullity
-    m = fileio.as_matroid(fileio.load_object(args.input))
+    m = fileio.as_matroid(obj)
     routes = {"rank": tutte_rank_nullity, "delcon": tutte_delcon,
               "activity": tutte_activity}
     if args.method == "all":
@@ -91,52 +82,45 @@ def cmd_tutte(args):
         values = list(polys.values())
         payload = {name: _poly_payload(p) for name, p in polys.items()}
         payload["agree"] = all(p == values[0] for p in values)
-        return _emit(payload, args)
-    return _emit(_poly_payload(routes[args.method](m)), args)
+        return payload
+    return _poly_payload(routes[args.method](m))
 
 
-def cmd_ktutte(args):
+def cmd_ktutte(obj, args):
     from . import fileio
     from .ktheory import k_tutte
-    f = fileio.as_flag_matroid(fileio.load_object(args.input))
+    f = fileio.as_flag_matroid(obj)
     poly = k_tutte(f, args.weights)
-    payload = _poly_payload(poly)
-    payload["nonnegative_coefficients"] = all(
-        c >= 0 for c in poly.terms.values())
-    return _emit(payload, args)
+    return {**_poly_payload(poly), "nonnegative_coefficients": all(
+        c >= 0 for c in poly.terms.values())}
 
 
-def cmd_charpoly(args):
+def cmd_charpoly(obj, args):
     from . import fileio
     from .invariants import characteristic_poly, log_concavity
     from .ktheory import k_tutte
-    f = fileio.as_flag_matroid(fileio.load_object(args.input))
+    f = fileio.as_flag_matroid(obj)
     poly = k_tutte(f, args.weights)
     chi = characteristic_poly(poly, sum(f.ranks))
-    verdict = log_concavity(chi)
-    payload = fileio.univar_to_json(chi)
-    payload["log_concave"] = bool(verdict)
-    return _emit(payload, args)
+    return {**fileio.univar_to_json(chi),
+            "log_concave": bool(log_concavity(chi))}
 
 
-def cmd_qprime(args):
+def cmd_qprime(obj, args):
     from . import fileio
     from .invariants import _from_shifted, q_coefficients
     from .lattice import poly_base_polytope
-    p = fileio.as_polymatroid(fileio.load_object(args.input))
+    p = fileio.as_polymatroid(obj)
     coeffs = q_coefficients(poly_base_polytope(p))
-    payload = _poly_payload(_from_shifted(coeffs))
-    payload["binomial_coefficients"] = [
-        {"i": i, "j": j, "c": str(c)} for (i, j), c in sorted(coeffs.items())]
-    return _emit(payload, args)
+    return {**_poly_payload(_from_shifted(coeffs)), "binomial_coefficients": [
+        {"i": i, "j": j, "c": str(c)} for (i, j), c in sorted(coeffs.items())]}
 
 
-def cmd_polytope(args):
+def cmd_polytope(obj, args):
     from . import fileio
     from .lattice import (base_polytope, edges, is_normal, lattice_points,
                           poly_base_polytope)
     from .matroid import Matroid
-    obj = fileio.load_object(args.input)
     if isinstance(obj, Matroid):
         p = base_polytope(obj)
     else:
@@ -151,15 +135,15 @@ def cmd_polytope(args):
         payload["normal"] = bool(verdict)
         if not verdict:
             payload["witness"] = list(verdict.witness)
-    return _emit(payload, args)
+    return payload
 
 
-def cmd_yclass(args):
+def cmd_yclass(obj, args):
     from . import fileio
     from .ktheory import (EquivariantClass, FlagSpace, format_chain,
                           parse_chain, y_class)
     from .laurent import format_poly
-    f = fileio.as_flag_matroid(fileio.load_object(args.input))
+    f = fileio.as_flag_matroid(obj)
     if args.weights:  # only checked, before any cone is built
         EquivariantClass(FlagSpace(f.n, f.ranks), {}).specialize(args.weights)
     items = y_class(f).items()
@@ -169,41 +153,32 @@ def cmd_yclass(args):
         if not items:
             raise FlagTutteError(
                 f"{args.fixed_point!r} is not a fixed point of the space")
-    payload = [{"fixed_point": format_chain(fp, f.n),
-                "value": fileio.laurent_to_json(v),
-                "pretty": format_poly(v)}
-               for fp, v in items]
-    return _emit(payload, args)
+    return [{"fixed_point": format_chain(fp, f.n),
+             "value": fileio.laurent_to_json(v), "pretty": format_poly(v)}
+            for fp, v in items]
 
 
-def cmd_quotient(args):
-    from . import fileio
+def cmd_quotient(pair, args):
     from .polyflag import quotient_witness
-    pair = fileio.load_object(args.input)
     if not isinstance(pair, tuple):
         raise FlagTutteError("quotient needs a matroid_pair document")
     witness = quotient_witness(*pair)
     payload = {"is_quotient": witness is None}
     if witness is not None:
         payload["witness"] = [list(s) for s in witness]
-    return _emit(payload, args)
+    return payload
 
 
-def cmd_union(args):
-    from . import fileio
+def cmd_union(matroids, args):
     from .matroid import cover_by_independent, union_rank
-    matroids = fileio.load_object(args.input)
     if not isinstance(matroids, list):
         raise FlagTutteError("union needs a matroid_list document")
     if not matroids:
         raise FlagTutteError("union needs at least one matroid")
     full = range(matroids[0].n)
     cover = cover_by_independent(matroids)
-    payload = {
-        "union_rank": union_rank(matroids, full),
-        "cover": [list(part) for part in cover] if cover else None,
-    }
-    return _emit(payload, args)
+    return {"union_rank": union_rank(matroids, full),
+            "cover": [list(part) for part in cover] if cover else None}
 
 
 COMMANDS = {
@@ -249,13 +224,19 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    from . import fileio
     try:
-        return COMMANDS[args.verb](args)
+        payload = COMMANDS[args.verb](fileio.load_object(args.input), args)
+        code = 0
     except FlagTutteError as exc:
-        report = {"ok": False, "error": type(exc).__name__,
-                  "detail": str(exc)}
-        print(json.dumps(report, sort_keys=True))
-        return 1
+        payload = {"ok": False, "error": type(exc).__name__,
+                   "detail": str(exc)}
+        code = 1
+    if code or args.output == "json":
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        _emit_text(payload)
+    return code
 
 
 if __name__ == "__main__":

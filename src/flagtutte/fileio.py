@@ -198,19 +198,19 @@ def polymatroid_to_json(p):
     return {"type": "polymatroid", "n": p.n, "rank": list(p.rank_table)}
 
 
+def _terms_to_json(variables, terms):
+    return {"vars": variables,
+            "terms": [{"exp": list(e), "coeff": str(c)} for e, c in terms]}
+
+
 def laurent_to_json(p):
-    return {"vars": p.nvars,
-            "terms": [{"exp": list(e), "coeff": str(c)}
-                      for e, c in p.sorted_terms()]}
+    return _terms_to_json(p.nvars, p.sorted_terms())
 
 
 def bivar_to_json(p):
-    return {"vars": ["x", "y"],
-            "terms": [{"exp": list(k), "coeff": str(c)}
-                      for k, c in p.sorted_terms()]}
+    return _terms_to_json(["x", "y"], p.sorted_terms())
 
 
 def univar_to_json(coeffs):
-    return {"vars": ["lambda"],
-            "terms": [{"exp": [k], "coeff": str(c)}
-                      for k, c in enumerate(coeffs) if c]}
+    return _terms_to_json(["lambda"],
+                          (((k,), c) for k, c in enumerate(coeffs) if c))

@@ -12,25 +12,14 @@ from collections import Counter
 from math import comb
 
 from .errors import FitMismatch, Verdict
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _signed_sum
 from .matroid import guard_basis_routes
 from .polyflag import Polymatroid
 
 
 def format_bivar(p):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for (i, j), c in sorted(p.terms.items(), reverse=True):
-        mono = "".join(
-            n if e == 1 else f"{n}^{e}"
-            for n, e in zip("xy", (i, j)) if e
-        )
-        body = str(abs(c)) if not mono else (mono if abs(c) == 1
-                                             else f"{abs(c)}{mono}")
-        parts.append(("- " if c < 0 else "+ ") + body)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+    """Human-readable form in x and y, as in x^3 + 3x^2 + 4xy."""
+    return _signed_sum(p, "xy", "")
 
 
 X_MINUS_1 = LaurentPoly(2, {(1, 0): 1, (0, 0): -1})

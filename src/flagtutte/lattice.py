@@ -654,11 +654,21 @@ def is_normal(p, kmax):
     split over k copies of P's lattice points (:func:`_split`); the
     ambient lattice Z^n is used throughout.  The witness is the first
     point, by k and then in lex order, that is not a k-fold sum.
+
+    Only k <= min(kmax, max(2, d)) is checked, d = dim P, as no larger k
+    can fail first.  Take c >= max(2, d) and a lattice point x of (c+1)P.
+    By Caratheodory x = sum l_i v_i over at most d + 1 vertices v_i, with
+    l_i >= 0 and sum l_i = c + 1 >= d + 1, so some l_i >= 1 and x - v_i
+    is a lattice point of cP.  If every point of cP is a c-fold sum, then
+    x is a (c+1)-fold sum; by induction the first failing k, if any, is at
+    most max(2, d), so the verdict and the witness are those of the loop
+    to kmax.  The argument needs only that P's vertices are among the
+    summands.
     """
     if kmax < 2:
         raise OutOfRange("kmax must be at least 2")
     pts = lattice_points(p)
-    for k in range(2, kmax + 1):
+    for k in range(2, min(kmax, max(2, p.dim)) + 1):
         for q in lattice_points_of_table(p.n, [k * x for x in p.z]):
             if _split(q, [pts] * k) is None:
                 return Verdict(False, f"point of {k}P not a {k}-fold sum",

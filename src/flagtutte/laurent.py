@@ -391,25 +391,26 @@ class LaurentPoly:
         return f"LaurentPoly({self.nvars}, {format_poly(self)})"
 
 
-def format_poly(p):
-    """Human-readable form in the 1-indexed variables t1..tn."""
+def _signed_sum(p, names, times):
+    """p as a signed sum of terms, highest exponent first; the i-th
+    variable prints as names[i], and `times` joins a coefficient to the
+    powers of a term and the powers to each other."""
     if p.is_zero():
         return "0"
     parts = []
     for e, c in sorted(p.terms.items(), reverse=True):
-        mono = "*".join(
-            f"t{i + 1}" + (f"^{x}" if x != 1 else "")
-            for i, x in enumerate(e) if x
-        )
-        if not mono:
-            term = str(abs(c))
-        elif abs(c) == 1:
-            term = mono
-        else:
-            term = f"{abs(c)}*{mono}"
-        parts.append(("- " if c < 0 else "+ ") + term)
+        factors = [names[i] + (f"^{x}" if x != 1 else "")
+                   for i, x in enumerate(e) if x]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        parts.append(("- " if c < 0 else "+ ") + times.join(factors))
     out = " ".join(parts)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
+def format_poly(p):
+    """Human-readable form in the 1-indexed variables t1..tn."""
+    return _signed_sum(p, [f"t{i + 1}" for i in range(p.nvars)], "*")
 
 
 def _multiset_max(a, b):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flagtutte
-from flagtutte.cli import COMMANDS, main
+from flagtutte.cli import COMMANDS, build_parser, main
+from flagtutte.fileio import load_object
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EMPTY_POLYMATROID = {"type": "polymatroid", "n": 0, "rank": [0]}
@@ -205,6 +207,18 @@ class TestPolytope:
         assert code == 0
         assert len(doc["vertices"]) == 6 and len(doc["edges"]) == 12
         assert doc["lattice_points"] == doc["vertices"]
+
+    def test_kmax_past_the_dimension_adds_no_work(self, tmp_path):
+        # is_normal checks k <= max(2, dim P) only, so depths far past the
+        # dimension of a point and of a segment cost nothing; a loop to
+        # kmax would recurse kmax levels deep in _split
+        point = {"type": "matroid", "n": 2, "bases": [[0]]}
+        segment = json.loads((FIXTURES / "u12.json").read_text())
+        for doc, kmax in [(point, 1500), (segment, 100000)]:
+            code, report, stderr = run_capped(
+                tmp_path, "polytope", doc, f"--kmax={kmax}", timeout=20)
+            assert code == 0, stderr
+            assert report["normal"] is True
 
 
 class TestYclass:
@@ -474,6 +488,68 @@ class TestDeterminism:
         a = run(capsys, "tutte", FIXTURES / "k4.json", "--output=text")
         b = run(capsys, "tutte", FIXTURES / "k4.json", "--output=text")
         assert a == b and a[0] == 0
+
+
+# (call, exit code, sha256 of stdout) under --output=text: each verb, tutte
+# with all routes and with one; a domain error is reported as JSON in
+# either mode
+TEXT_OUTPUT = [
+    ("tutte k4.json", 0,
+     "fc49dd465616d67455ff0a855b06eebaf522ef024b3f8fd0cc89f22319a95688"),
+    ("tutte u24.json --method=delcon", 0,
+     "9ff1ad7b8383e4c202f0ab330ace54b5ca2ad7723ba76adb65a7546d5a4e39d2"),
+    ("ktutte flag_rank12.json", 0,
+     "e54866309b48d77572a22f3b8d9bbfc8f4ca382fad68422fde60428120454da2"),
+    ("charpoly flag_u23_5.json", 0,
+     "f6748fa31ac7d03d10461de8a5c37df9cd0befb993795b2d824fd12098f80c2e"),
+    ("qprime subspace_polymatroid.json", 0,
+     "7bc34f815abca8be9adadd665acaf621da020870401249f71eea3f45587d9476"),
+    ("polytope k4.json --kmax=2", 0,
+     "2fc67fc57c1a670f40012f8ae5386a17c182c670ae0d05d93a4113620599ceaf"),
+    ("yclass flag_rank12.json --fixed-point=1|01", 0,
+     "0dc12c9b4bc2ce252d16aa5c71ea011901b1da27a20b7ad5b90bc28deceeb665"),
+    ("quotient pappus8_quotient_pair.json", 0,
+     "d3412907ac839529111e8ea8c47fabdec40eccbffd9f01b6ac0d000b0e7233cc"),
+    ("union u1_counterexample_family.json", 0,
+     "9367acd3382c163383a0ff69405aae94731b8c04509355605a9943f833f9d79b"),
+    ("check bad_mixed.json", 1,
+     "eaa9f48b4b41d40d782a05926bac82770906d5213e06a6747a98e5b4cf965f7d"),
+]
+
+
+class TestTextOutput:
+    @pytest.mark.parametrize("call, code, digest", TEXT_OUTPUT)
+    def test_bytes_pinned(self, capsys, call, code, digest):
+        verb, fixture, *extra = call.split()
+        got, out = run(capsys, verb, FIXTURES / fixture, *extra,
+                       "--output=text")
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == \
+            (code, digest)
+
+
+VERB_CALLS = {
+    "check": "nonpappus.json",
+    "tutte": "k4.json",
+    "ktutte": "flag_rank12.json",
+    "charpoly": "flag_rank12.json",
+    "qprime": "subspace_polymatroid.json",
+    "polytope": "k4.json --kmax=2",
+    "yclass": "flag_rank12.json",
+    "quotient": "pappus8_quotient_pair.json",
+    "union": "u1_counterexample_family.json",
+}
+
+
+class TestVerbsOnlyReturn:
+    @pytest.mark.parametrize("verb", sorted(COMMANDS))
+    def test_verb_returns_what_main_writes(self, capsys, verb):
+        fixture, *extra = VERB_CALLS[verb].split()
+        argv = [verb, str(FIXTURES / fixture), *extra]
+        args = build_parser().parse_args(argv)
+        payload = COMMANDS[verb](load_object(args.input), args)
+        assert capsys.readouterr().out == ""
+        assert run(capsys, *argv) == \
+            (0, json.dumps(payload, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -21,6 +21,26 @@ K4_TUTTE = LaurentPoly(2, {(3, 0): 1, (2, 0): 3, (1, 0): 2, (1, 1): 4,
                             (0, 1): 2, (0, 2): 3, (0, 3): 1})
 
 
+class TestFormatBivar:
+    # the zero polynomial, constants, coefficients +-1 and larger, a
+    # negative leading term, and exponents other than 1
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({(0, 0): -3}, "-3"),
+        ({(0, 0): 1}, "1"),
+        ({(1, 0): 1}, "x"),
+        ({(0, 1): -1}, "-y"),
+        ({(1, 1): 1}, "xy"),
+        ({(2, 0): 1, (1, 1): 4, (0, 3): 1}, "x^2 + 4xy + y^3"),
+        ({(1, 0): -1, (0, 1): 1}, "-x + y"),
+        ({(2, 3): -2, (0, 0): 7}, "-2x^2y^3 + 7"),
+        ({(1, 1): -1, (0, 0): -1}, "-xy - 1"),
+        ({(0, 2): 10 ** 30}, "1000000000000000000000000000000y^2"),
+    ])
+    def test_signed_sum(self, terms, text):
+        assert format_bivar(LaurentPoly(2, terms)) == text
+
+
 class TestTutteRoutes:
     def test_k4_value(self):
         assert tutte_rank_nullity(k4()) == K4_TUTTE

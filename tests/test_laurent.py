@@ -521,3 +521,20 @@ class TestFormat:
     def test_pretty(self):
         p = LaurentPoly(3, {(0, 0, 0): 1, (-1, 0, 1): -1})
         assert format_poly(p) == "1 - t1^-1*t3"
+
+    # the zero polynomial, constants, coefficients +-1 and larger, a
+    # negative leading term, and exponents other than 1, negative ones too
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({(0, 0, 0): -3}, "-3"),
+        ({(0, 0, 0): -1}, "-1"),
+        ({(1, 0, 0): 1}, "t1"),
+        ({(1, 0, 0): -1}, "-t1"),
+        ({(2, 0, 1): 5, (0, 0, 0): 1}, "5*t1^2*t3 + 1"),
+        ({(1, 0, 0): -1, (0, 1, 0): 1}, "-t1 + t2"),
+        ({(-1, 0, 1): 1, (0, 0, 0): 1}, "1 + t1^-1*t3"),
+        ({(0, -2, 0): -4, (1, 1, 1): 2}, "2*t1*t2*t3 - 4*t2^-2"),
+        ({(2, -1, 0): -1, (0, 0, 0): -1}, "-t1^2*t2^-1 - 1"),
+    ])
+    def test_signed_sum(self, terms, text):
+        assert format_poly(LaurentPoly(3, terms)) == text

@@ -15,9 +15,9 @@ adjacency per polytope, and the edge directions are certified as the
 cone's rays without linear programming: each must be e_i - e_j, and one
 reachability closure of the arcs i -> j shows that they have no cycle
 (the cone is pointed) and no shortcut (each ray is extreme), with no
-topological order.  The exact simplex of :mod:`flagtutte.linalg` finds the
-rays of every other cone and is the oracle the edge rays are tested
-against; no polytope routine calls it.
+topological order.  Any other cone gets its rays from the exact simplex,
+by :func:`flagtutte.oracle.lp_rays`, the oracle the edge rays are tested
+against; no polytope routine reaches it.
 
 Cones are triangulated by a pulling triangulation over their extreme rays,
 and every piece is made half-open towards w = r_0 + eps*r_1 + eps^2*r_2 +
@@ -40,15 +40,24 @@ the arc path is tested against, and is imported only when a cone needs it.
 """
 
 import itertools
+import operator
 
 from .errors import (CheckFailed, DimensionMismatch, NegativeShift,
                      NoDecomposition, NotAVertex, NotPointed, OutOfRange,
                      Verdict)
 from . import linalg
-from .laurent import LaurentPoly, _vadd, _vsub, binomial_fraction_sum
+from .laurent import LaurentPoly, binomial_fraction_sum
 from .matroid import _find, guard_orderings
 from .polyflag import (_greedy_vertex, enumerate_flags, flag_weight,
                        polymatroid_of_flag)
+
+
+def _vadd(a, b):
+    return tuple(map(operator.add, a, b))
+
+
+def _vsub(a, b):
+    return tuple(map(operator.sub, a, b))
 
 
 class LatticePolytope:
@@ -97,11 +106,11 @@ class LatticePolytope:
 
 
 def _subset_sums(v):
-    """x(S) for every subset S of the coordinates, indexed by bitmask."""
-    sums = [0] * (1 << len(v))
-    for m in range(1, len(sums)):
-        low = m & -m
-        sums[m] = sums[m ^ low] + v[low.bit_length() - 1]
+    """x(S) for every subset S of the coordinates, indexed by bitmask: the
+    sets holding coordinate i are those without it, shifted by 1 << i."""
+    sums = [0]
+    for x in v:
+        sums += [s + x for s in sums]
     return sums
 
 
@@ -245,10 +254,12 @@ def lattice_points(p):
 
 # ----------------------------------------------------------------- faces
 
-def _tight_masks(n, z, v):
-    """The sets tight at v, as a bitset with bit m for subset mask m."""
+def _tight_masks(z, v):
+    """The sets tight at v, as a bitset with bit m for subset mask m, read
+    from one string of 2^n bits; a sum of 1 << m copies each partial sum."""
     sums = _subset_sums(v)
-    return sum(1 << m for m in range(1 << n) if sums[m] == z[m])
+    return int("".join("01"[s == t] for s, t in zip(reversed(sums),
+                                                     reversed(z))), 2)
 
 
 def _tight_set_neighbours(n, z, verts):
@@ -258,7 +269,7 @@ def _tight_set_neighbours(n, z, verts):
     tight constraints; it is an edge exactly when no third vertex is tight
     on all of them.
     """
-    tight = [_tight_masks(n, z, v) for v in verts]
+    tight = [_tight_masks(z, v) for v in verts]
     out = [[] for _ in verts]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -317,35 +328,17 @@ class RationalCone:
         self.generators = tuple(gens)
         self._rays = None
 
-    def is_pointed(self):
-        if not self.generators:
-            return True
-        cols = [list(g) + [1] for g in self.generators]
-        return linalg.lp_nonneg_solve(cols, [0] * self.n + [1]) is None
-
     def rays(self):
         """Extreme rays (primitive), lex sorted.
 
         A vertex cone of a polytope with a submodular description arrives
         with its rays already certified (:func:`edge_cone`).  Any other
-        cone is checked for pointedness and pruned of redundant generators
-        by the exact simplex of :mod:`flagtutte.linalg`; that general path
-        is also the oracle the edge rays are tested against.
+        cone gets them from :func:`flagtutte.oracle.lp_rays`, which is
+        also the oracle the edge rays are tested against.
         """
         if self._rays is None:
-            if not self.is_pointed():
-                raise NotPointed("cone contains a line")
-            work = list(self.generators)
-            changed = True
-            while changed:
-                changed = False
-                for i, g in enumerate(work):
-                    others = work[:i] + work[i + 1:]
-                    if others and linalg.in_cone(others, g):
-                        work.pop(i)
-                        changed = True
-                        break
-            self._rays = tuple(sorted(work))
+            from .oracle import lp_rays
+            self._rays = lp_rays(self)
         return self._rays
 
     def __repr__(self):

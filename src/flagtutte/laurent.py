@@ -33,18 +33,7 @@ and :attr:`LaurentPoly.terms` and :meth:`LaurentPoly.sorted_terms` give
 them back.
 """
 
-import operator
-
 from .errors import CheckFailed, DimensionMismatch, InexactDivision
-
-
-def _vadd(a, b):
-    return tuple(map(operator.add, a, b))
-
-
-def _vsub(a, b):
-    return tuple(map(operator.sub, a, b))
-
 
 _BITS = 32
 _BIAS = 1 << (_BITS - 1)
@@ -313,7 +302,8 @@ class LaurentPoly:
         sum of self's coefficients from the line's low end, in time linear
         in the size of the quotient.  The division is exact iff every line
         sums to zero; the first line that does not raises InexactDivision.
-        :meth:`_lex_divide` divides by any polynomial and is the oracle.
+        :func:`flagtutte.oracle.lex_divide` divides by any polynomial and
+        is the oracle.
         """
         d, step, shift, mask, bias = self._lines(a)
         lines = {}
@@ -354,39 +344,6 @@ class LaurentPoly:
             sums[base] = sums.get(base, 0) + c
         return {r: c for r, c in sums.items() if c}
 
-    def _lex_divide(self, q):
-        """self / q by leading-term elimination under lex order, on
-        exponent tuples."""
-        if self.is_zero():
-            return LaurentPoly.zero(self.nvars)
-        terms, q_terms = self.terms, q.terms
-        lead_q = max(q_terms)
-        lc_q = q_terms[lead_q]
-        # quotient support is confined to the coordinate-wise Newton box
-        lo = tuple(min(e[i] for e in terms) - max(e[i] for e in q_terms)
-                   for i in range(self.nvars))
-        hi = tuple(max(e[i] for e in terms) - min(e[i] for e in q_terms)
-                   for i in range(self.nvars))
-        rem = terms
-        quot = {}
-        while rem:
-            lead_r = max(rem)
-            c, r = divmod(rem[lead_r], lc_q)
-            if r:
-                raise InexactDivision("leading coefficient does not divide")
-            mono = _vsub(lead_r, lead_q)
-            if any(m < l or m > h for m, l, h in zip(mono, lo, hi)):
-                raise InexactDivision("quotient support escapes Newton box")
-            quot[mono] = c
-            for e, qc in q_terms.items():
-                key = _vadd(mono, e)
-                v = rem.get(key, 0) - c * qc
-                if v:
-                    rem[key] = v
-                else:
-                    rem.pop(key, None)
-        return LaurentPoly(self.nvars, quot)
-
     def __repr__(self):
         return f"LaurentPoly({self.nvars}, {format_poly(self)})"
 
@@ -413,18 +370,6 @@ def format_poly(p):
     return _signed_sum(p, [f"t{i + 1}" for i in range(p.nvars)], "*")
 
 
-def _multiset_max(a, b):
-    """Multiset union-by-maximum of two denominator factor lists, sorted:
-    a, plus each factor of b that a does not match."""
-    out, unmatched = list(a), list(a)
-    for t in b:
-        if t in unmatched:
-            unmatched.remove(t)
-        else:
-            out.append(t)
-    return tuple(sorted(out))
-
-
 def _multiset_sub(a, b):
     """Multiset difference a - b, sorted, each count floored at zero."""
     out = sorted(a)
@@ -448,7 +393,7 @@ def binomial_fraction_sum(nvars, terms, times=()):
     """
     common = ()
     for _, den in terms:
-        common = _multiset_max(common, den)
+        common += _multiset_sub(den, common)
     keys, bound = {}, 0
     for num, den in terms:
         if num.nvars != nvars:

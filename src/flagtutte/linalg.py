@@ -3,10 +3,9 @@
 Gaussian elimination on ``fractions.Fraction`` matrices, behind the rank of
 a matrix (matrix matroids and subspace polymatroids); primitive integer
 vectors (cone generators) by one n-ary ``math.gcd``; and a phase-one
-simplex for exact linear feasibility: the rays of a general cone, and the
-cone oracle of the tests.
-No polytope routine calls the simplex, since every polytope carries its
-submodular table.  Nullspaces, exact solutions, the integer
+simplex for exact linear feasibility, which only :mod:`flagtutte.oracle`
+(the rays of a general cone) and the tests call, since every polytope
+carries its submodular table.  Nullspaces, exact solutions, the integer
 diagonalization and the hull test are oracles, in :mod:`flagtutte.oracle`.
 No floating point anywhere.
 """

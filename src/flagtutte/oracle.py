@@ -6,20 +6,21 @@ such a cone and lists its parallelepiped points combinatorially.  The
 routines here handle any cone and any rational function with binomial
 denominators.  They are the independent oracles the tests check the
 production paths against, and the library path for general cones:
-:func:`flagtutte.lattice.triangulate` and
-:meth:`flagtutte.lattice.HalfOpenSimplicialCone.parallelepiped_points`
-import from here only on a cone with a ray that is not an arc.  No
-production module imports this one at load time.
+:mod:`flagtutte.lattice` imports from here only on a cone whose rays
+are not certified arcs.  No production module imports this one at load
+time.
 
 - Linear algebra over Q and Z: exact solutions and nullspaces over the row
   reduction of :mod:`flagtutte.linalg`, an integer diagonalization
   P·A·Q = D by unimodular row and column operations, and convex-hull
   membership through the exact simplex.
-- Cones: a pulling triangulation through exact rational nullspaces, made
+- Cones: :func:`is_pointed` and :func:`lp_rays` through the exact simplex,
+  a pulling triangulation through exact rational nullspaces, made
   half-open by the same rule as the arc path, and parallelepiped points
   through residue classes of the generator lattice.
-- Rational functions: :class:`KRational`, a Laurent polynomial over a
-  multiset of binomial factors (1 - t^a), the exact Hilbert series
+- Rational functions: :func:`lex_divide` by any Laurent polynomial,
+  :class:`KRational`, a Laurent polynomial over a multiset of binomial
+  factors (1 - t^a), the exact Hilbert series
   :func:`hilbert_series` of a cone, and :func:`evaluate_at_one`.
 """
 
@@ -27,11 +28,12 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor, lcm, prod
 
-from .errors import BadWeights, CheckFailed, InexactDivision, PoleAtOne
+from .errors import (BadWeights, CheckFailed, InexactDivision, NotPointed,
+                     PoleAtOne)
 from . import linalg
-from .lattice import (HalfOpenSimplicialCone, _open_by_first_sign,
-                      hilbert_numerator)
-from .laurent import LaurentPoly, _multiset_max, _multiset_sub, format_poly
+from .lattice import (HalfOpenSimplicialCone, _open_by_first_sign, _vadd,
+                      _vsub, hilbert_numerator)
+from .laurent import LaurentPoly, _multiset_sub, format_poly
 
 
 # ------------------------------------------------------ linear algebra
@@ -156,6 +158,32 @@ def in_hull(points, point):
 
 
 # --------------------------------------------------------------- cones
+
+def is_pointed(cone):
+    """Whether the cone holds no line (exact simplex)."""
+    if not cone.generators:
+        return True
+    cols = [list(g) + [1] for g in cone.generators]
+    return linalg.lp_nonneg_solve(cols, [0] * cone.n + [1]) is None
+
+
+def lp_rays(cone):
+    """Extreme rays of any cone, lex sorted: the generators that the others
+    do not span (exact simplex).  NotPointed when the cone holds a line."""
+    if not is_pointed(cone):
+        raise NotPointed("cone contains a line")
+    work = list(cone.generators)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(work):
+            others = work[:i] + work[i + 1:]
+            if others and linalg.in_cone(others, g):
+                work.pop(i)
+                changed = True
+                break
+    return tuple(sorted(work))
+
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
@@ -292,6 +320,40 @@ def _fraction_pieces(rays):
 
 # -------------------------------------------------- rational functions
 
+def lex_divide(p, q):
+    """p / q by leading-term elimination under lex order, on exponent
+    tuples: the oracle of :meth:`LaurentPoly.exact_divide`, for any q."""
+    if p.is_zero():
+        return LaurentPoly.zero(p.nvars)
+    terms, q_terms = p.terms, q.terms
+    lead_q = max(q_terms)
+    lc_q = q_terms[lead_q]
+    # quotient support is confined to the coordinate-wise Newton box
+    lo = tuple(min(e[i] for e in terms) - max(e[i] for e in q_terms)
+               for i in range(p.nvars))
+    hi = tuple(max(e[i] for e in terms) - min(e[i] for e in q_terms)
+               for i in range(p.nvars))
+    rem = terms
+    quot = {}
+    while rem:
+        lead_r = max(rem)
+        c, r = divmod(rem[lead_r], lc_q)
+        if r:
+            raise InexactDivision("leading coefficient does not divide")
+        mono = _vsub(lead_r, lead_q)
+        if any(m < l or m > h for m, l, h in zip(mono, lo, hi)):
+            raise InexactDivision("quotient support escapes Newton box")
+        quot[mono] = c
+        for e, qc in q_terms.items():
+            key = _vadd(mono, e)
+            v = rem.get(key, 0) - c * qc
+            if v:
+                rem[key] = v
+            else:
+                rem.pop(key, None)
+    return LaurentPoly(p.nvars, quot)
+
+
 class KRational:
     """Laurent polynomial divided by a multiset of factors (1 - t^a).
 
@@ -349,7 +411,7 @@ class KRational:
     def __add__(self, other):
         if isinstance(other, LaurentPoly):
             other = KRational.from_poly(other)
-        common = _multiset_max(self.den, other.den)
+        common = self.den + _multiset_sub(other.den, self.den)
         num = (self.num.times_one_minus(_multiset_sub(common, self.den))
                + other.num.times_one_minus(_multiset_sub(common, other.den)))
         return KRational(num, common)

@@ -477,6 +477,16 @@ class TestLargeGroundSets:
         assert code == 0, stderr
         assert report == {"is_quotient": False, "witness": [[], [17]]}
 
+    def test_ktutte_of_rank_one_matroid_on_20_elements(self, tmp_path):
+        # U(1, 20) has 20 bases; its tight sets are read from one string
+        # of 2^20 bits per vertex, where a sum of 1 << m over them, 4^n
+        # work in all, ran past the timeout
+        code, report, stderr = run_capped(tmp_path, "ktutte",
+                                          uniform_doc(1, 20), timeout=60)
+        assert code == 0, stderr
+        assert report["pretty"] == " + ".join(
+            ["x"] + [f"y^{k}" for k in range(19, 1, -1)] + ["y"])
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, capsys):

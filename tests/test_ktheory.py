@@ -1,11 +1,12 @@
+import itertools
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagtutte.errors import (BadWeights, InexactDivision, OutOfRange,
-                              SpaceMismatch)
+from flagtutte.errors import (BadWeights, ExchangeViolation, InexactDivision,
+                              OutOfRange, SpaceMismatch)
 from flagtutte.fileio import as_flag_matroid, load_object
 from flagtutte.invariants import (characteristic_poly, log_concavity,
                                   tutte_rank_nullity)
@@ -17,7 +18,7 @@ from flagtutte.lattice import count_lattice_points_of_table
 from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import (matroid_from_bases, matroid_from_matrix,
                                uniform_matroid)
-from flagtutte.oracle import KRational
+from flagtutte.oracle import KRational, lex_divide
 from flagtutte.polyflag import (flag_from_constituents,
                                 flag_from_subspace_flag, polymatroid_of_flag)
 
@@ -174,8 +175,8 @@ def first_incongruent_orbit(cls):
     does not divide the difference of the ends by 1 - t^chi, or None."""
     for f1, f2, (i, j) in cls.space.one_dim_orbits():
         try:
-            (cls.value(f1) - cls.value(f2))._lex_divide(
-                LaurentPoly.one_minus(cls.char(i, j)))
+            lex_divide(cls.value(f1) - cls.value(f2),
+                       LaurentPoly.one_minus(cls.char(i, j)))
         except InexactDivision:
             return f1, f2, (i, j)
     return None
@@ -724,6 +725,32 @@ class TestRandomizedSpecialization:
             f = flag_from_constituents([m])
             assert k_tutte(f) == tutte_rank_nullity(m), rows
             done += 1
+
+
+def labelled_matroids(n):
+    """Every matroid on n elements with 0 < k < n: the families of
+    k-subsets that pass basis exchange."""
+    out = []
+    for k in range(1, n):
+        subsets = list(itertools.combinations(range(n), k))
+        for bits in range(1, 1 << len(subsets)):
+            try:
+                out.append(matroid_from_bases(n, [
+                    s for i, s in enumerate(subsets) if bits >> i & 1]))
+            except ExchangeViolation:
+                pass
+    return out
+
+
+class TestSmallMatroidSweep:
+    def test_k_tutte_is_tutte_on_every_matroid_up_to_five_elements(self):
+        matroids = [m for n in range(2, 6) for m in labelled_matroids(n)]
+        # 3 + 14 + 66 + 404 labelled matroids on 2, 3, 4 and 5 elements
+        assert len(matroids) == 487
+        for m in matroids:
+            kt = k_tutte(flag_from_constituents([m]))
+            assert kt == tutte_rank_nullity(m), m.bases
+            assert kt.subs_one() == len(m.bases), m.bases
 
 
 class TestCocharacter:

@@ -26,8 +26,9 @@ from flagtutte.lattice import (HalfOpenSimplicialCone, LatticePolytope,
 from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import matroid_from_matrix, uniform_matroid
 from flagtutte.oracle import (KRational, _diagonalized_points,
-                              _fraction_pieces, hilbert_series)
+                              _fraction_pieces, hilbert_series, is_pointed)
 from flagtutte.polyflag import (enumerate_flags, flag_from_subspace_flag,
+                                polymatroid_from_subspaces,
                                 polymatroid_of_flag)
 from conftest import m2_rank2
 from test_polyflag import subspace_polymatroid, four_flag_matroid
@@ -175,8 +176,8 @@ class TestCones:
             cone_at_vertex(p, (0, 0))
 
     def test_pointedness(self):
-        assert RationalCone([(1, 0), (0, 1)]).is_pointed()
-        assert not RationalCone([(1, 0), (-1, 0)]).is_pointed()
+        assert is_pointed(RationalCone([(1, 0), (0, 1)]))
+        assert not is_pointed(RationalCone([(1, 0), (-1, 0)]))
         with pytest.raises(NotPointed):
             RationalCone([(1, 1), (-1, -1)]).rays()
 
@@ -286,7 +287,7 @@ class TestEdgeCones:
     def test_verdicts_match_the_lp_oracle(self, case):
         n, dirs = case
         lp = RationalCone(dirs, n=n)
-        if not lp.is_pointed():
+        if not is_pointed(lp):
             # a cycle wins over any shortcut
             with pytest.raises(NotPointed):
                 edge_cone(dirs, n)
@@ -540,6 +541,50 @@ def reference_clear_denominators(v):
         d = Fraction(x).denominator
         scale = scale * d // gcd(scale, d)
     return reference_primitive([int(Fraction(x) * scale) for x in v])
+
+
+def reference_tight_masks(n, z, v):
+    """The tight sets at v by a sum of 1 << m over the tight masks m, each
+    subset sum taken on its own."""
+    sums = [sum(x for i, x in enumerate(v) if m >> i & 1)
+            for m in range(1 << n)]
+    return sum(1 << m for m in range(1 << n) if sums[m] == z[m])
+
+
+@st.composite
+def generated_polytopes(draw):
+    """A base, flag or polymatroid polytope on 2-5 elements from random
+    integer rows."""
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["base", "flag", "polymatroid"]))
+    if kind == "base":
+        return base_polytope(matroid_from_matrix(
+            draw(st.lists(row, min_size=1, max_size=3))))
+    if kind == "flag":
+        rows = draw(st.lists(row, min_size=n - 1, max_size=n - 1))
+        prefixes = draw(st.sets(st.integers(1, n - 1), min_size=1))
+        try:
+            return flag_polytope(flag_from_subspace_flag(
+                [rows[:k] for k in sorted(prefixes)]))
+        except OutOfRange:  # a prefix of zero rows spans nothing
+            assume(False)
+    # one block of 1-2 vectors in 3 dimensions per element
+    vector = st.lists(st.integers(-1, 1), min_size=3, max_size=3)
+    return poly_base_polytope(polymatroid_from_subspaces(draw(st.lists(
+        st.lists(vector, min_size=1, max_size=2), min_size=n, max_size=n))))
+
+
+class TestTightSets:
+    @settings(max_examples=60, deadline=None)
+    @given(generated_polytopes(), st.data())
+    def test_tight_sets_agree_with_the_reference(self, p, data):
+        # at the vertices, at the other lattice points and off the polytope
+        off = data.draw(st.lists(st.tuples(*[st.integers(-1, 3)] * p.n),
+                                 max_size=3))
+        for v in lattice_points(p) + off:
+            assert lattice._tight_masks(p.z, v) == \
+                reference_tight_masks(p.n, p.z, v)
 
 
 class TestStandardLibraryHelpers:

@@ -9,7 +9,7 @@ from flagtutte.errors import (BadWeights, CheckFailed, DimensionMismatch,
                               InexactDivision, PoleAtOne)
 from flagtutte.laurent import (LaurentPoly, _unpack,
                                binomial_fraction_sum, format_poly)
-from flagtutte.oracle import KRational, evaluate_at_one
+from flagtutte.oracle import KRational, evaluate_at_one, lex_divide
 
 
 def mono(*exp):
@@ -90,7 +90,7 @@ class TestExactDivide:
             r = rand_poly(rng, 2, 3)
             if q.is_zero():
                 continue
-            assert (q * r)._lex_divide(q) == r
+            assert lex_divide(q * r, q) == r
 
     def test_inexact_detected(self):
         with pytest.raises(InexactDivision):
@@ -113,7 +113,7 @@ def laurent_polys(nvars, span=3, max_terms=6):
 def lex_quotient(num, a):
     """num / (1 - t^a) by lex elimination, or None if it is not exact."""
     try:
-        return num._lex_divide(LaurentPoly.one_minus(a))
+        return lex_divide(num, LaurentPoly.one_minus(a))
     except InexactDivision:
         return None
 
@@ -476,6 +476,24 @@ class TestBinomialFractionSum:
                 binomial_fraction_sum(nvars, terms, times)
         else:
             assert binomial_fraction_sum(nvars, terms, times) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_sums())
+    def test_krational_sum_is_the_oracle(self, case):
+        # KRational adds over the union by maximum of two denominators,
+        # which repeat factors here, and reduces what divides
+        nvars, terms, times, _ = case
+        total = KRational(LaurentPoly.zero(nvars))
+        for num, den in terms:
+            total = total + KRational(num, den)
+        total = total * LaurentPoly.one(nvars).times_one_minus(times)
+        try:
+            expected = binomial_fraction_sum(nvars, terms, times)
+        except InexactDivision:
+            with pytest.raises(InexactDivision):
+                total.as_laurent()
+        else:
+            assert total.as_laurent() == expected
 
 
 

@@ -146,13 +146,15 @@ def cmd_yclass(obj, args):
     f = fileio.as_flag_matroid(obj)
     if args.weights:  # only checked, before any cone is built
         EquivariantClass(FlagSpace(f.n, f.ranks), {}).specialize(args.weights)
-    items = y_class(f).items()
-    if args.fixed_point is not None:
+    cls = y_class(f)
+    if args.fixed_point is None:
+        items = cls.items()
+    else:  # looked up, as a complete flag on 9 elements has 9! points
         wanted = parse_chain(args.fixed_point)
-        items = [(fp, v) for fp, v in items if fp == wanted]
-        if not items:
+        if wanted not in cls.space:
             raise FlagTutteError(
                 f"{args.fixed_point!r} is not a fixed point of the space")
+        items = [(wanted, cls.value(wanted))]
     return [{"fixed_point": format_chain(fp, f.n),
              "value": fileio.laurent_to_json(v), "pretty": format_poly(v)}
             for fp, v in items]

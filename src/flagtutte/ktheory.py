@@ -8,14 +8,19 @@ level contains i but not j.  Characters are exponent vectors, so the pair
 
 The localization class of a flag matroid is zero away from its flags and
 the numerator of the vertex-cone Hilbert series against the chart
-denominator at them.  Multiplying by the Segre-Veronese line-bundle weight
-t^{e_F} (a shift at each flag), pulling back to Fl(1, k, n-1) and pushing
-forward to the product of two projective spaces (chain by chain: each
-basis flag's own chart, less the pairs of a target chart, gives its term
-at every target point over it, so the larger space is never built), then
-solving triangularly against the coordinate-subspace classes, one factor
-at a time, produces the bivariate polynomial invariant; every division
-along the way must be exact.
+denominator at them.  Renaming the variables maps a cone, its chart and
+that numerator alike, and ordering the elements by the level of a flag
+that first holds them maps its chart to one standard chart of the space,
+so the cones that are one cone relabelled share one numerator, computed
+once and renamed to each flag (:func:`y_class`).  Multiplying by the
+Segre-Veronese line-bundle weight t^{e_F} (a shift at each flag),
+pulling back to Fl(1, k, n-1) and pushing forward to the product of two
+projective spaces (chain by chain: each basis flag's own chart, less the
+pairs of a target chart, gives its term at every target point over it,
+so the larger space is never built), then solving triangularly against
+the coordinate-subspace classes, one factor at a time, produces the
+bivariate polynomial invariant; every division along the way must be
+exact.
 
 Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
 the ring map t_i -> z^{w_i}, for n distinct integers w_i, to the
@@ -36,13 +41,15 @@ condition only; the multivariate GKM check on the localization class is
 the certificate.
 """
 
+from collections import Counter
 from math import factorial
 from operator import mul
 
 from .errors import (BadWeights, InexactDivision, OutOfRange, ParseError,
                      SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, binomial_fraction_sum
-from .lattice import cone_at_vertex, flag_polytope, hilbert_numerator
+from .lattice import (cone_at_vertex, edge_cone, flag_polytope,
+                      hilbert_numerator)
 from .matroid import MAX_ORDERING_ELEMENTS, guard_table, uniform_matroid
 from .polyflag import FlagMatroid, enumerate_flags, flag_weight
 
@@ -124,6 +131,17 @@ class FlagSpace:
             self._fixed = tuple(enumerate_flags(FlagMatroid(
                 self.n, [uniform_matroid(k, self.n) for k in self.ranks])))
         return self._fixed
+
+    def __contains__(self, chain):
+        """Whether a chain of tuples is one of :meth:`fixed_points`, told
+        without listing them: a level of each distinct rank's size, each
+        of increasing labels in range(n) and inside the next."""
+        levels = list(map(set, chain))
+        return (tuple(map(len, chain)) == self.distinct_ranks
+                and all(part == tuple(sorted(level))
+                        for part, level in zip(chain, levels))
+                and levels[-1] <= set(range(self.n))
+                and all(a <= b for a, b in zip(levels, levels[1:])))
 
     def weight_vector(self, chain):
         """e_F: indicator sum over the full rank tuple, with multiplicity."""
@@ -329,26 +347,46 @@ def o1_class(space):
                 for fp in space.fixed_points()})
 
 
-def _y_value(space, flag_poly, chain):
-    vertex = space.weight_vector(chain)
-    cone = cone_at_vertex(flag_poly, vertex)
-    denom = [_char(space.n, j, i) for i, j in space.chart_pairs(chain)]
-    return hilbert_numerator(cone, denom)
-
-
 def y_class(flag_matroid):
     """Localization class of a flag matroid.
 
     Zero away from the basis flags, which
-    :func:`flagtutte.polyflag.enumerate_flags` lists; on a basis flag, the
-    numerator of the vertex cone's Hilbert series against the chart
-    denominator.  The GKM congruence is asserted on the result.
+    :func:`flagtutte.polyflag.enumerate_flags` lists; on a basis flag F,
+    the numerator of the vertex cone's Hilbert series against the chart
+    denominator.  The cone comes from :func:`cone_at_vertex`, whose rays
+    are certified arcs i -> j.  Its nodes are ordered by the first level
+    of F that holds them (elements in no level last), then by out- and
+    in-degree among the arcs, then by label, and relabelled by their
+    places in that order.  Every chart of the space then becomes one
+    standard chart, the pairs (a, b) with a in an earlier block than b,
+    so the relabelled arcs, sorted, key the cone's shape.  Each shape's
+    numerator is computed once against the standard chart and renamed
+    back to each flag of that shape (:meth:`LaurentPoly.rename`); the
+    numerator is unique, so the values are those computed flag by flag.
+    The GKM congruence is asserted on the result.
     """
-    space = FlagSpace(flag_matroid.n, flag_matroid.ranks)
+    n = flag_matroid.n
+    space = FlagSpace(n, flag_matroid.ranks)
     poly = flag_polytope(flag_matroid)
-    cls = EquivariantClass(
-        space, {chain: _y_value(space, poly, chain)
-                for chain in enumerate_flags(flag_matroid)})
+    standard = tuple(tuple(range(r)) for r in space.distinct_ranks)
+    denom = [_char(n, j, i) for i, j in space.chart_pairs(standard)]
+    shapes, values = {}, {}
+    for chain in enumerate_flags(flag_matroid):
+        cone = cone_at_vertex(poly, space.weight_vector(chain))
+        arcs = [(r.index(1), r.index(-1)) for r in cone.rays()]
+        # the first level holding e, as the levels missing e come first
+        block = [sum(e not in part for part in chain) for e in range(n)]
+        tails = Counter(i for i, _ in arcs)
+        heads = Counter(j for _, j in arcs)
+        order = sorted(range(n), key=lambda e: (block[e], tails[e],
+                                                heads[e], e))
+        place = {e: p for p, e in enumerate(order)}
+        key = tuple(sorted((place[i], place[j]) for i, j in arcs))
+        if key not in shapes:
+            shapes[key] = hilbert_numerator(
+                edge_cone([_char(n, i, j) for i, j in key], n), denom)
+        values[chain] = shapes[key].rename(order)
+    cls = EquivariantClass(space, values)
     cls.assert_gkm("y_class")
     return cls
 

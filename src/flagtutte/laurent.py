@@ -33,6 +33,9 @@ and :attr:`LaurentPoly.terms` and :meth:`LaurentPoly.sorted_terms` give
 them back.
 """
 
+from array import array
+from itertools import repeat
+
 from .errors import CheckFailed, DimensionMismatch, InexactDivision
 
 _BITS = 32
@@ -242,6 +245,33 @@ class LaurentPoly:
         d = _delta(exp)
         return LaurentPoly._make(
             self.nvars, {k + d: c for k, c in self._keys.items()}, bound)
+
+    def rename(self, targets):
+        """The polynomial with each t_i renamed t_{targets[i]}, for a
+        permutation `targets` of the variables.
+
+        The keys are laid out as one array of 32-bit fields, and field i
+        of every key moves to field targets[i] in one strided copy; the
+        bound is unchanged.  DimensionMismatch unless a permutation.
+        """
+        n, identity = self.nvars, list(range(self.nvars))
+        if sorted(targets) != identity:
+            raise DimensionMismatch(f"{tuple(targets)} does not permute "
+                                    f"{n} variables")
+        if list(targets) == identity:  # so also in one variable
+            return self
+        width = _BITS // 8 * n
+        src = array("I", b"".join(map(int.to_bytes, self._keys,
+                                      repeat(width), repeat("little"))))
+        out = src[:]
+        for i, t in enumerate(targets):
+            out[t::n] = src[i::n]
+        raw = out.tobytes()
+        keys = map(int.from_bytes, (raw[k:k + width]
+                                    for k in range(0, len(raw), width)),
+                   repeat("little"))
+        return LaurentPoly._make(n, dict(zip(keys, self._keys.values())),
+                                 self._bound)
 
     def times_one_minus(self, exps):
         """self * prod_{a in exps} (1 - t^a), one binomial at a time.

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import flagtutte
 from flagtutte.cli import COMMANDS, build_parser, main
+from flagtutte.errors import FlagTutteError
 from flagtutte.fileio import load_object
+from flagtutte.matroid import matroid_from_bases
+from flagtutte.polyflag import flag_from_constituents
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EMPTY_POLYMATROID = {"type": "polymatroid", "n": 0, "rank": [0]}
@@ -247,6 +251,46 @@ class TestYclass:
                              "--fixed-point=")
         assert code == 1 and doc["error"] == "FlagTutteError"
         assert doc["detail"] == "'' is not a fixed point of the space"
+
+    def test_lookup_matches_the_listing_path(self, monkeypatch):
+        # every flag string of up to one level more than the space has,
+        # its blocks the subsets of the labels and three bad ones, on each
+        # space with n <= 4; a loop at n - 1 leaves zeros in the class
+        from flagtutte import ktheory
+        from flagtutte.fileio import laurent_to_json
+        from flagtutte.ktheory import FlagSpace
+        from flagtutte.laurent import format_poly
+        y_class = ktheory.y_class
+        for n, s in itertools.product(range(2, 5), range(1, 4)):
+            for ranks in itertools.combinations(range(1, n), s):
+                flag = flag_from_constituents([matroid_from_bases(
+                    n, itertools.combinations(range(n - 1), k))
+                    for k in ranks])
+                cls = y_class(flag)
+                monkeypatch.setattr(ktheory, "y_class", lambda f: cls)
+                assert cls.space == FlagSpace(n, ranks)
+                items = cls.items()
+                blocks = ["".join(map(str, b)) for k in range(n + 1)
+                          for b in itertools.combinations(range(n), k)]
+                for length in range(1, s + 2):
+                    for chain in itertools.product(
+                            blocks + [str(n), "00", "-1,"], repeat=length):
+                        text = "|".join(chain)
+                        wanted = ktheory.parse_chain(text)
+                        listed = [{"fixed_point": ktheory.format_chain(fp, n),
+                                   "value": laurent_to_json(v),
+                                   "pretty": format_poly(v)}
+                                  for fp, v in items if fp == wanted]
+                        args = argparse.Namespace(weights=None,
+                                                  fixed_point=text)
+                        try:
+                            got = COMMANDS["yclass"](flag, args)
+                        except FlagTutteError as exc:
+                            assert not listed
+                            assert str(exc) == f"{text!r} is not a " \
+                                "fixed point of the space"
+                        else:
+                            assert listed and got == listed
 
     def test_label_of_element_ten_reads_back(self, capsys, tmp_path):
         path = tmp_path / "u1_11.json"

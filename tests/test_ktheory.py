@@ -14,15 +14,17 @@ from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
                                format_chain, k_tutte, o1_class, parse_chain,
                                pullback, pushforward_to_pp, to_nonequivariant,
                                y_class)
-from flagtutte.lattice import count_lattice_points_of_table
+from flagtutte.lattice import (cone_at_vertex, count_lattice_points_of_table,
+                               flag_polytope, hilbert_numerator)
 from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import (matroid_from_bases, matroid_from_matrix,
                                uniform_matroid)
 from flagtutte.oracle import KRational, lex_divide
-from flagtutte.polyflag import (flag_from_constituents,
+from flagtutte.polyflag import (enumerate_flags, flag_from_constituents,
                                 flag_from_subspace_flag, polymatroid_of_flag)
 
 from conftest import m2_rank2
+from test_laurent import ref_rename
 from test_polyflag import four_flag_matroid
 
 
@@ -42,7 +44,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fixture_flag(name):
-    return as_flag_matroid(load_object(FIXTURES / f"{name}.json"))
+    """A fixture as a flag matroid; a matroid pair is the flag (N, M)."""
+    obj = load_object(FIXTURES / f"{name}.json")
+    if isinstance(obj, tuple):
+        return flag_from_constituents(obj)
+    return as_flag_matroid(obj)
 
 
 def coarse_class(flag):
@@ -296,6 +302,64 @@ class TestYClass:
         verdict = cls.gkm_verdict()
         assert (None if verdict else verdict.witness) == \
             first_incongruent_orbit(cls)
+
+
+def per_flag_values(flag):
+    """Oracle: at each basis flag, the numerator of its own vertex cone
+    against its own chart."""
+    space, poly = FlagSpace(flag.n, flag.ranks), flag_polytope(flag)
+    return {chain: hilbert_numerator(
+        cone_at_vertex(poly, space.weight_vector(chain)),
+        [tuple(x - y for x, y in zip(unit(flag.n, j), unit(flag.n, i)))
+         for i, j in space.chart_pairs(chain)])
+        for chain in enumerate_flags(flag)}
+
+
+def permuted_flag(flag, perm):
+    """The flag with each element e renamed perm[e]."""
+    return flag_from_constituents([
+        matroid_from_bases(flag.n, [[perm[e] for e in b] for b in m.bases])
+        for m in flag.constituents])
+
+
+class TestShapeMemo:
+    """y_class computes one numerator per cone shape and renames it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)))
+    def test_values_match_per_flag_numerators(self, flag):
+        assert y_class(flag).values == per_flag_values(flag)
+
+    @pytest.mark.parametrize("name", [
+        "flag_rank12", "flag_u23_5", "k4", "nonpappus", "pappus8_matrix",
+        "pappus8_quotient_pair", "u12", "u24"])
+    def test_values_match_per_flag_numerators_on_fixtures(self, name):
+        flag = fixture_flag(name)
+        assert y_class(flag).values == per_flag_values(flag)
+
+    @pytest.mark.parametrize("name, shapes", [
+        ("flag_u23_5", 1), ("k4", 3), ("pappus8_matrix", 8)])
+    def test_one_numerator_per_cone_shape(self, name, shapes, monkeypatch):
+        cones = []
+
+        def counted(cone, denom):
+            cones.append(cone)
+            return hilbert_numerator(cone, denom)
+
+        monkeypatch.setattr("flagtutte.ktheory.hilbert_numerator", counted)
+        y_class(fixture_flag(name))
+        assert len(cones) == shapes
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)), st.data())
+    def test_relabelled_flag_relabels_the_class(self, flag, data):
+        perm = data.draw(st.permutations(range(flag.n)))
+        moved = permuted_flag(flag, perm)
+        want = {tuple(tuple(sorted(perm[e] for e in part)) for part in chain):
+                LaurentPoly(flag.n, ref_rename(v.terms, perm))
+                for chain, v in y_class(flag).values.items()}
+        assert y_class(moved).values == want
+        assert k_tutte(moved) == k_tutte(flag)
 
 
 class TestO1:

@@ -258,6 +258,12 @@ def ref_residue(p, a):
     return ref_clean(out)
 
 
+def ref_rename(p, targets):
+    """Each t_i renamed t_{targets[i]}, on exponent tuples."""
+    return {tuple(e[targets.index(q)] for q in range(len(e))): c
+            for e, c in p.items()}
+
+
 def exponents(n, far=True):
     """Small exponents, negative ones included, and now and then (when
     `far`) one far enough out that a key carries or borrows across many
@@ -318,6 +324,28 @@ class TestPackedKeys:
         other = LaurentPoly(n, q)
         assert (num.residue(a) == other.residue(a)) == \
             (ref == ref_residue(q, a))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 10]).flatmap(lambda n: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(-6, 6) | st.sampled_from(
+            [-(2 ** 31 - 1), 2 ** 31 - 1])] * n), st.integers(-4, 4),
+            max_size=12).map(ref_clean),
+        st.permutations(range(n)))))
+    def test_rename(self, case):
+        # fields at both ends of the packing range move whole
+        p, targets = case
+        poly = LaurentPoly(len(targets), p)
+        renamed = poly.rename(targets)
+        assert renamed.terms == ref_rename(p, targets)
+        assert renamed._bound == poly._bound
+        inverse = [targets.index(q) for q in range(len(targets))]
+        assert renamed.rename(inverse) == poly
+
+    def test_rename_needs_a_permutation(self):
+        for targets in ((0, 0), (0,), (1, 2), (0, 1, 2)):
+            with pytest.raises(DimensionMismatch):
+                LaurentPoly.one(2).rename(targets)
+        assert LaurentPoly(1, {(-5,): 2}).rename((0,)).terms == {(-5,): 2}
 
     def test_wrong_length_exponents_raise(self):
         with pytest.raises(DimensionMismatch):

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from flagtutte.errors import (EmptyBases, ExchangeViolation,
                               MismatchedGroundSets, NotAMatroid, OutOfRange,
                               UnequalCardinality, Verdict)
-from flagtutte.matroid import (Matroid, _first_drop, check_rank_axioms,
-                               cover_by_independent, gale_leq, gale_max,
-                               gale_max_family, matroid_from_bases,
-                               matroid_from_graph, matroid_from_matrix,
-                               uniform_matroid, union_rank)
+from flagtutte.matroid import (Matroid, _first_drop, _is_submodular,
+                               check_rank_axioms, cover_by_independent,
+                               gale_leq, gale_max, gale_max_family,
+                               matroid_from_bases, matroid_from_graph,
+                               matroid_from_matrix, uniform_matroid,
+                               union_rank)
 
 from conftest import (PAPPUS8_ROWS, k4, m2_rank2, non_pappus, oracle_rank,
                       oracle_simple_cycles_k4, oracle_union_rank,
@@ -170,6 +171,75 @@ class TestFirstDrop:
         assert drop == reference_first_drop(table, n)
         # single-element steps decide monotonicity over all nested pairs
         assert (drop is None) == is_monotone_on_nested_pairs(table, n)
+
+
+def reference_first_supermodular(table, n):
+    """The local submodularity loop check_rank_axioms ran before: the
+    first (m + i, m + j), m ascending, then i < j, with
+    r(m + i + j) + r(m) > r(m + i) + r(m + j), or None."""
+    for m in range(1 << n):
+        for i in range(n):
+            if m >> i & 1:
+                continue
+            for j in range(i + 1, n):
+                if m >> j & 1:
+                    continue
+                x, y = m | 1 << i, m | 1 << j
+                if table[x | y] + table[m] > table[x] + table[y]:
+                    return x, y
+    return None
+
+
+@st.composite
+def monotone_tables(draw, max_n=6):
+    """(n, table) with r(empty) = 0 and r monotone: a coverage function
+    r(S) = |union of A_e over e in S|, which is submodular, or each entry
+    the largest one below it plus 0..2, which often is not; now and then
+    one entry raised by one."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        cover = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            table[m] = table[m ^ low] | cover[low.bit_length() - 1]
+        table = [t.bit_count() for t in table]
+    else:
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            table[m] = max(table[m ^ 1 << i] for i in range(n)
+                           if m >> i & 1) + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, (1 << n) - 1))
+        table[m] += 1
+    return n, table
+
+
+class TestSubmodularity:
+    @settings(max_examples=300, deadline=None)
+    @given(monotone_tables())
+    def test_verdict_and_witness_match_the_loop(self, case):
+        n, table = case
+        first = reference_first_supermodular(table, n)
+        v = check_rank_axioms(table, n, polymatroid=True)
+        if _first_drop(table, n) is not None:
+            assert v.reason.startswith("R2")
+        elif first is None:
+            assert v
+        else:
+            assert v.reason.startswith("R3")
+            assert v.witness == tuple(tuple(b for b in range(n) if x >> b & 1)
+                                      for x in first)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-2, 3), min_size=1 << n,
+                             max_size=1 << n))))
+    def test_slices_decide_as_the_loop_on_any_table(self, case):
+        # strided pairs and block pairs both run from n = 3 on
+        n, table = case
+        assert _is_submodular(table, n) == \
+            (reference_first_supermodular(table, n) is None)
 
 
 class TestMinorsAndDuality:

@@ -48,7 +48,7 @@ from operator import mul
 from .errors import (BadWeights, InexactDivision, OutOfRange, ParseError,
                      SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, binomial_fraction_sum
-from .lattice import (cone_at_vertex, edge_cone, flag_polytope,
+from .lattice import (_arc, cone_at_vertex, edge_cone, flag_polytope,
                       hilbert_numerator)
 from .matroid import MAX_ORDERING_ELEMENTS, guard_table, uniform_matroid
 from .polyflag import FlagMatroid, enumerate_flags, flag_weight
@@ -373,7 +373,7 @@ def y_class(flag_matroid):
     shapes, values = {}, {}
     for chain in enumerate_flags(flag_matroid):
         cone = cone_at_vertex(poly, space.weight_vector(chain))
-        arcs = [(r.index(1), r.index(-1)) for r in cone.rays()]
+        arcs = list(map(_arc, cone.rays()))
         # the first level holding e, as the levels missing e come first
         block = [sum(e not in part for part in chain) for e in range(n)]
         tails = Counter(i for i, _ in arcs)

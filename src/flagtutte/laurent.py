@@ -33,7 +33,6 @@ and :attr:`LaurentPoly.terms` and :meth:`LaurentPoly.sorted_terms` give
 them back.
 """
 
-from array import array
 from itertools import repeat
 
 from .errors import CheckFailed, DimensionMismatch, InexactDivision
@@ -261,12 +260,13 @@ class LaurentPoly:
         if list(targets) == identity:  # so also in one variable
             return self
         width = _BITS // 8 * n
-        src = array("I", b"".join(map(int.to_bytes, self._keys,
-                                      repeat(width), repeat("little"))))
-        out = src[:]
+        raw = b"".join(map(int.to_bytes, self._keys, repeat(width),
+                           repeat("little")))
+        out = bytearray(len(raw))
+        src, dst = memoryview(raw).cast("I"), memoryview(out).cast("I")
         for i, t in enumerate(targets):
-            out[t::n] = src[i::n]
-        raw = out.tobytes()
+            dst[t::n] = src[i::n]
+        raw = bytes(out)  # slices of bytes are read faster
         keys = map(int.from_bytes, (raw[k:k + width]
                                     for k in range(0, len(raw), width)),
                    repeat("little"))

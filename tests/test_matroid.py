@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flagtutte.errors import (EmptyBases, ExchangeViolation,
                               MismatchedGroundSets, NotAMatroid, OutOfRange,
                               UnequalCardinality, Verdict)
-from flagtutte.matroid import (Matroid, _first_drop, _is_submodular,
+from flagtutte.matroid import (Matroid, _first_drop, _first_supermodular,
                                check_rank_axioms, cover_by_independent,
                                gale_leq, gale_max, gale_max_family,
                                matroid_from_bases, matroid_from_graph,
@@ -235,11 +235,14 @@ class TestSubmodularity:
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.integers(-2, 3), min_size=1 << n,
                              max_size=1 << n))))
-    def test_slices_decide_as_the_loop_on_any_table(self, case):
+    def test_slices_find_the_loop_witness_on_any_table(self, case):
         # strided pairs and block pairs both run from n = 3 on
         n, table = case
-        assert _is_submodular(table, n) == \
-            (reference_first_supermodular(table, n) is None)
+        first = _first_supermodular(table, n)
+        if first is not None:
+            m, i, j = first
+            first = m | 1 << i, m | 1 << j
+        assert first == reference_first_supermodular(table, n)
 
 
 class TestMinorsAndDuality:

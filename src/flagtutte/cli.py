@@ -142,7 +142,7 @@ def cmd_yclass(obj, args):
     from . import fileio
     from .ktheory import (EquivariantClass, FlagSpace, format_chain,
                           parse_chain, y_class)
-    from .laurent import format_poly
+    from .laurent import _format_terms
     f = fileio.as_flag_matroid(obj)
     if args.weights:  # only checked, before any cone is built
         EquivariantClass(FlagSpace(f.n, f.ranks), {}).specialize(args.weights)
@@ -155,9 +155,13 @@ def cmd_yclass(obj, args):
             raise FlagTutteError(
                 f"{args.fixed_point!r} is not a fixed point of the space")
         items = [(wanted, cls.value(wanted))]
-    return [{"fixed_point": format_chain(fp, f.n),
-             "value": fileio.laurent_to_json(v), "pretty": format_poly(v)}
-            for fp, v in items]
+    out = []
+    for fp, v in items:
+        terms = v.sorted_terms()  # unpacked once for both forms
+        out.append({"fixed_point": format_chain(fp, f.n),
+                    "value": fileio._terms_to_json(v.nvars, terms),
+                    "pretty": _format_terms(terms, v.nvars)})
+    return out
 
 
 def cmd_quotient(pair, args):

@@ -19,7 +19,7 @@ from .polyflag import Polymatroid
 
 def format_bivar(p):
     """Human-readable form in x and y, as in x^3 + 3x^2 + 4xy."""
-    return _signed_sum(p, "xy", "")
+    return _signed_sum(p.sorted_terms(), "xy", "")
 
 
 X_MINUS_1 = LaurentPoly(2, {(1, 0): 1, (0, 0): -1})

@@ -8,19 +8,20 @@ level contains i but not j.  Characters are exponent vectors, so the pair
 
 The localization class of a flag matroid is zero away from its flags and
 the numerator of the vertex-cone Hilbert series against the chart
-denominator at them.  Renaming the variables maps a cone, its chart and
-that numerator alike, and ordering the elements by the level of a flag
-that first holds them maps its chart to one standard chart of the space,
-so the cones that are one cone relabelled share one numerator, computed
-once and renamed to each flag (:func:`y_class`).  Multiplying by the
-Segre-Veronese line-bundle weight t^{e_F} (a shift at each flag),
-pulling back to Fl(1, k, n-1) and pushing forward to the product of two
-projective spaces (chain by chain: each basis flag's own chart, less the
-pairs of a target chart, gives its term at every target point over it,
-so the larger space is never built), then solving triangularly against
-the coordinate-subspace classes, one factor at a time, produces the
-bivariate polynomial invariant; every division along the way must be
-exact.
+denominator at them.  The cone at a basis flag is read from the basis
+flags at the other ends of its 1-dim orbits, so no polytope is built.
+Renaming the variables maps a cone, its chart and that numerator alike,
+and ordering the elements by the level of a flag that first holds them
+maps its chart to one standard chart of the space, so the cones that are
+one cone relabelled share one numerator, computed once and renamed to each
+flag (:func:`y_class`).  Multiplying by the Segre-Veronese line-bundle
+weight t^{e_F} (a shift at each flag), pulling back to Fl(1, k, n-1) and
+pushing forward to the product of two projective spaces (chain by chain:
+each basis flag's own chart, less the pairs of a target chart, gives its
+term at every target point over it, so the larger space is never built),
+then solving triangularly against the coordinate-subspace classes, one
+factor at a time, produces the bivariate polynomial invariant; every
+division along the way must be exact.
 
 Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
 the ring map t_i -> z^{w_i}, for n distinct integers w_i, to the
@@ -48,8 +49,7 @@ from operator import mul
 from .errors import (BadWeights, InexactDivision, OutOfRange, ParseError,
                      SpaceMismatch, Verdict)
 from .laurent import LaurentPoly, binomial_fraction_sum
-from .lattice import (_arc, cone_at_vertex, edge_cone, flag_polytope,
-                      hilbert_numerator)
+from .lattice import _extreme_arcs, edge_cone, hilbert_numerator
 from .matroid import MAX_ORDERING_ELEMENTS, guard_table, uniform_matroid
 from .polyflag import FlagMatroid, enumerate_flags, flag_weight
 
@@ -353,27 +353,33 @@ def y_class(flag_matroid):
     Zero away from the basis flags, which
     :func:`flagtutte.polyflag.enumerate_flags` lists; on a basis flag F,
     the numerator of the vertex cone's Hilbert series against the chart
-    denominator.  The cone comes from :func:`cone_at_vertex`, whose rays
-    are certified arcs i -> j.  Its nodes are ordered by the first level
-    of F that holds them (elements in no level last), then by out- and
-    in-degree among the arcs, then by label, and relabelled by their
-    places in that order.  Every chart of the space then becomes one
-    standard chart, the pairs (a, b) with a in an earlier block than b,
-    so the relabelled arcs, sorted, key the cone's shape.  Each shape's
-    numerator is computed once against the standard chart and renamed
-    back to each flag of that shape (:meth:`LaurentPoly.rename`); the
-    numerator is unique, so the values are those computed flag by flag.
-    The GKM congruence is asserted on the result.
+    denominator.  An edge at e_F runs along some e_j - e_i to (i j).F, the
+    other end of F's orbit along (i, j) (Borovik-Gelfand-White), so the
+    cone is spanned by the arcs j -> i to those ends that are basis flags,
+    and its rays are the arcs no other path of them leads along
+    (:func:`_extreme_arcs`); no polytope is built.  Its nodes are ordered
+    by the first level of F that holds them (elements in no level last),
+    then by out- and in-degree among the arcs, then by label, and
+    relabelled by their places in that order.  Every chart of the space
+    then becomes one standard chart, the pairs (a, b) with a in an
+    earlier block than b, so the relabelled arcs, sorted, key the cone's
+    shape.  Each shape's numerator is computed once against the standard
+    chart and renamed back to each flag of that shape
+    (:meth:`LaurentPoly.rename`); the numerator is unique, so the values
+    are those computed flag by flag.  The GKM congruence is asserted on
+    the result.  OutOfRange past MAX_TABLE_ELEMENTS, as in :func:`k_tutte`.
     """
     n = flag_matroid.n
+    guard_table(n)
     space = FlagSpace(n, flag_matroid.ranks)
-    poly = flag_polytope(flag_matroid)
+    flags = enumerate_flags(flag_matroid)
+    basis = set(flags)
     standard = tuple(tuple(range(r)) for r in space.distinct_ranks)
     denom = [_char(n, j, i) for i, j in space.chart_pairs(standard)]
     shapes, values = {}, {}
-    for chain in enumerate_flags(flag_matroid):
-        cone = cone_at_vertex(poly, space.weight_vector(chain))
-        arcs = list(map(_arc, cone.rays()))
+    for chain in flags:
+        arcs = _extreme_arcs([(j, i) for end, (i, j) in space.orbits_at(chain)
+                              if end in basis], n)
         # the first level holding e, as the levels missing e come first
         block = [sum(e not in part for part in chain) for e in range(n)]
         tails = Counter(i for i, _ in arcs)
@@ -527,7 +533,7 @@ def k_tutte(flag_matroid, weights=None):
     n = flag_matroid.n
     if n < 2:
         raise OutOfRange("the construction needs n >= 2")
-    guard_table(n)  # y's rank table bounds n before the weights are listed
+    guard_table(n)  # README's bound on n, before the weights are listed
     weights = tuple(range(n)) if weights is None else tuple(weights)
     space = FlagSpace(n, flag_matroid.ranks)  # OutOfRange past 10! points
     EquivariantClass(space, {}).specialize(weights)  # BadWeights, no cone

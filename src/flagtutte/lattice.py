@@ -15,9 +15,11 @@ adjacency per polytope, and the edge directions are certified as the
 cone's rays without linear programming: each must be e_i - e_j, and one
 reachability closure of the arcs i -> j shows that they have no cycle
 (the cone is pointed) and no shortcut (each ray is extreme), with no
-topological order.  Any other cone gets its rays from the exact simplex,
-by :func:`flagtutte.oracle.lp_rays`, the oracle the edge rays are tested
-against; no polytope routine reaches it.
+topological order.  The same closure drops the shortcut arcs for
+:mod:`flagtutte.ktheory`, which reads a flag matroid's vertex cones from
+its basis flags and builds no polytope.  Any other cone gets its rays
+from the exact simplex, by :func:`flagtutte.oracle.lp_rays`, the oracle
+the edge rays are tested against; no polytope routine reaches it.
 
 Cones are triangulated by a pulling triangulation over their extreme rays,
 and every piece is made half-open towards w = r_0 + eps*r_1 + eps^2*r_2 +
@@ -157,7 +159,9 @@ def flag_polytope(flag_matroid):
     scan over orderings; the submodular description is the sum of the
     constituent rank tables.  That table comes first, so n past
     :data:`flagtutte.matroid.MAX_TABLE_ELEMENTS` is OutOfRange before any
-    vertex is built.
+    vertex is built.  With :func:`cone_at_vertex` it is the oracle for
+    the vertex cones :func:`flagtutte.ktheory.y_class` reads from the
+    basis flags without a polytope.
     """
     n, ranks = flag_matroid.n, flag_matroid.ranks
     z = polymatroid_of_flag(flag_matroid).rank_table
@@ -350,7 +354,9 @@ def cone_at_vertex(p, v):
 
     It is spanned by the edges at v (:meth:`LatticePolytope.neighbours`),
     whose directions :func:`edge_cone` certifies as its rays without linear
-    programming.
+    programming.  On a :func:`flag_polytope` it is the oracle for the
+    rule :func:`flagtutte.ktheory.y_class` reads the cone by: the arcs to
+    the basis flags one torus orbit away, less the shortcut ones.
     """
     v = tuple(v)
     if v not in p.vertices:
@@ -366,31 +372,17 @@ def _arc(r):
     return r.index(1), r.index(-1)
 
 
-def edge_cone(directions, n):
-    """Pointed cone over edge directions of a generalized permutohedron.
-
-    Each direction must have n coordinates (DimensionMismatch otherwise)
-    and, made primitive, be some e_i - e_j, read as the arc i -> j;
-    anything else raises CheckFailed.  One reachability closure over the
-    nodes the arcs touch gives both verdicts: a node that reaches itself
-    lies on a directed cycle, which sums to zero, so the cone holds a line
-    (NotPointed); an arc i -> j is an extreme ray exactly when no other
-    path leads from i to j (CheckFailed otherwise, on the first such arc
-    in generator order).  The certified directions are stored as its rays.
-    """
-    if any(len(d) != n for d in directions):
-        raise DimensionMismatch(f"edge directions need {n} coordinates")
-    cone = RationalCone(directions, n=n)
-    arcs, succ = [], [0] * n
-    for r in cone.generators:
-        arc = _arc(r)
-        if arc is None:
-            raise CheckFailed("vertex cone",
-                              "edge direction is not e_i - e_j", r)
-        arcs.append(arc)
-        succ[arc[0]] |= 1 << arc[1]
+def _extreme_arcs(arcs, n):
+    """The arcs i -> j, on nodes below n, that no other path of arcs leads
+    along, in order.  One reachability closure over the nodes the arcs
+    touch (Warshall) decides it; a node that reaches itself lies on a
+    directed cycle, which sums to zero, so the cone over the arcs holds a
+    line (NotPointed)."""
+    succ = [0] * n
+    for i, j in arcs:
+        succ[i] |= 1 << j
     nodes = sorted({k for arc in arcs for k in arc})
-    # reach[i]: the nodes that one or more arcs lead to from i (Warshall)
+    # reach[i]: the nodes that one or more arcs lead to from i
     reach = succ[:]
     for k in nodes:
         for i in nodes:
@@ -399,8 +391,31 @@ def edge_cone(directions, n):
     if any(reach[k] >> k & 1 for k in nodes):
         raise NotPointed("edge directions form a directed cycle, "
                          "so the cone contains a line")
-    for r, (i, j) in zip(cone.generators, arcs):
-        if any(succ[i] >> k & 1 and reach[k] >> j & 1 for k in nodes):
+    return [(i, j) for i, j in arcs
+            if not any(succ[i] >> k & 1 and reach[k] >> j & 1
+                       for k in nodes)]
+
+
+def edge_cone(directions, n):
+    """Pointed cone over edge directions of a generalized permutohedron.
+
+    Each direction must have n coordinates (DimensionMismatch otherwise)
+    and, made primitive, be some e_i - e_j, read as the arc i -> j;
+    anything else raises CheckFailed.  The arcs must hold no directed
+    cycle (NotPointed) and each must be extreme (:func:`_extreme_arcs`;
+    CheckFailed otherwise, on the first other arc in generator order).
+    The certified directions are stored as its rays.
+    """
+    if any(len(d) != n for d in directions):
+        raise DimensionMismatch(f"edge directions need {n} coordinates")
+    cone = RationalCone(directions, n=n)
+    arcs = list(map(_arc, cone.generators))
+    if None in arcs:
+        raise CheckFailed("vertex cone", "edge direction is not e_i - e_j",
+                          cone.generators[arcs.index(None)])
+    extreme = _extreme_arcs(arcs, n)
+    for r, arc in zip(cone.generators, arcs):
+        if arc not in extreme:
             raise CheckFailed("vertex cone",
                               "edge direction is not an extreme ray", r)
     cone._rays = cone.generators

@@ -378,14 +378,15 @@ class LaurentPoly:
         return f"LaurentPoly({self.nvars}, {format_poly(self)})"
 
 
-def _signed_sum(p, names, times):
-    """p as a signed sum of terms, highest exponent first; the i-th
-    variable prints as names[i], and `times` joins a coefficient to the
-    powers of a term and the powers to each other."""
-    if p.is_zero():
+def _signed_sum(terms, names, times):
+    """Terms in ascending order (:meth:`LaurentPoly.sorted_terms`) as a
+    signed sum, highest exponent first; the i-th variable prints as
+    names[i], and `times` joins a coefficient to the powers of a term and
+    the powers to each other."""
+    if not terms:
         return "0"
     parts = []
-    for e, c in sorted(p.terms.items(), reverse=True):
+    for e, c in reversed(terms):
         factors = [names[i] + (f"^{x}" if x != 1 else "")
                    for i, x in enumerate(e) if x]
         if abs(c) != 1 or not factors:
@@ -397,7 +398,12 @@ def _signed_sum(p, names, times):
 
 def format_poly(p):
     """Human-readable form in the 1-indexed variables t1..tn."""
-    return _signed_sum(p, [f"t{i + 1}" for i in range(p.nvars)], "*")
+    return _format_terms(p.sorted_terms(), p.nvars)
+
+
+def _format_terms(terms, nvars):
+    """:func:`format_poly` of the polynomial with these sorted terms."""
+    return _signed_sum(terms, [f"t{i + 1}" for i in range(nvars)], "*")
 
 
 def _multiset_sub(a, b):

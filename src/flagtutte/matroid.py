@@ -289,13 +289,15 @@ def uniform_matroid(k, n):
 def _first_drop(table, n):
     """The first single-element step (m, m | 1 << i) that lowers a 2^n
     table, m ascending and then i ascending, or None: then the table is
-    monotone, as any X inside Y is joined by a chain of such steps."""
-    bits = [1 << i for i in range(n)]
-    for m, r in enumerate(table):
-        for b in bits:
-            if not m & b and table[m | b] < r:
-                return m, m | b
-    return None
+    monotone, as any X inside Y is joined by a chain of such steps.  One
+    list comparison per slice pair of each i."""
+    first = None
+    for i in range(n):
+        for low, high in _half_slices(len(table), 1 << i):
+            m = _first_greater(table[low], table[high], low)
+            if m is not None and (first is None or m < first[0]):
+                first = m, m | 1 << i
+    return first
 
 
 def _half_slices(full, bit):
@@ -309,6 +311,16 @@ def _half_slices(full, bit):
                 for o in range(bit)]
     return [(slice(s, s + bit), slice(s + bit, s + step))
             for s in range(0, full, step)]
+
+
+def _first_greater(a, b, low):
+    """The first mask m where a exceeds b, both read in step along the
+    slice `low` of masks, or None; `any` decides the common case, no
+    mask, in one pass without the index count."""
+    if not any(map(operator.gt, a, b)):
+        return None
+    k = next(itertools.compress(itertools.count(), map(operator.gt, a, b)))
+    return low.start + k * (low.step or 1)
 
 
 def _first_supermodular(table, n):
@@ -325,13 +337,9 @@ def _first_supermodular(table, n):
             d[low] = map(operator.sub, table[high], table[low])
         for j in range(i + 1, n):
             for low, high in _half_slices(full, 1 << j):
-                a, b = d[high], d[low]
-                if any(map(operator.gt, a, b)):
-                    k = next(itertools.compress(itertools.count(),
-                                                map(operator.gt, a, b)))
-                    m = low.start + k * (low.step or 1)
-                    if first is None or m < first[0]:
-                        first = m, i, j
+                m = _first_greater(d[high], d[low], low)
+                if m is not None and (first is None or m < first[0]):
+                    first = m, i, j
     return first
 
 

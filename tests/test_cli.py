@@ -456,6 +456,7 @@ class TestBadInput:
          ["--method=activity"]),
         ("ktutte", {"type": "flag_matroid",
                     "constituents": [HUGE_LABEL_MATROID]}, []),
+        ("yclass", {"type": "matroid", "n": 10**6, "bases": [[0]]}, []),
     ])
     def test_huge_ground_set_refused_before_allocating(self, tmp_path, verb,
                                                        doc, extra):
@@ -467,7 +468,7 @@ class TestBadInput:
     def test_flag_space_past_ten_factorial_refused_before_listing(
             self, tmp_path, verb):
         # the flag space counts its fixed points when it is made, before
-        # the polytope lists the basis flags
+        # the basis flags are listed
         code, report, stderr = run_capped(tmp_path, verb, ELEVEN_FULL_FLAG)
         assert code == 1, stderr
         assert report["ok"] is False and report["error"] == "OutOfRange"

@@ -14,14 +14,16 @@ from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
                                format_chain, k_tutte, o1_class, parse_chain,
                                pullback, pushforward_to_pp, to_nonequivariant,
                                y_class)
-from flagtutte.lattice import (cone_at_vertex, count_lattice_points_of_table,
-                               flag_polytope, hilbert_numerator)
+from flagtutte.lattice import (_arc, _extreme_arcs, cone_at_vertex,
+                               count_lattice_points_of_table, flag_polytope,
+                               hilbert_numerator)
 from flagtutte.laurent import LaurentPoly
 from flagtutte.matroid import (matroid_from_bases, matroid_from_matrix,
                                uniform_matroid)
 from flagtutte.oracle import KRational, lex_divide
 from flagtutte.polyflag import (enumerate_flags, flag_from_constituents,
-                                flag_from_subspace_flag, polymatroid_of_flag)
+                                flag_from_subspace_flag, is_quotient,
+                                polymatroid_of_flag)
 
 from conftest import m2_rank2
 from test_laurent import ref_rename
@@ -360,6 +362,84 @@ class TestShapeMemo:
                 for chain, v in y_class(flag).values.items()}
         assert y_class(moved).values == want
         assert k_tutte(moved) == k_tutte(flag)
+
+
+def two_step_flags(n):
+    """Every labelled flag (N, M) of matroids on n elements with
+    0 < rank N < rank M < n and N a quotient of M."""
+    matroids = []
+    for k in range(1, n):
+        subsets = list(itertools.combinations(range(n), k))
+        for size in range(1, len(subsets) + 1):
+            for bases in itertools.combinations(subsets, size):
+                try:
+                    matroids.append(matroid_from_bases(n, bases))
+                except ExchangeViolation:
+                    pass
+    return [flag_from_constituents([a, b]) for a in matroids
+            for b in matroids if a.k < b.k and is_quotient(a, b)]
+
+
+def keyed_arcs(flag, monkeypatch):
+    """The extreme arcs y_class reads at each basis flag, in flag order."""
+    seen = []
+
+    def recorded(arcs, n):
+        seen.append(sorted(_extreme_arcs(arcs, n)))
+        return seen[-1]
+
+    monkeypatch.setattr("flagtutte.ktheory._extreme_arcs", recorded)
+    y_class(flag)
+    monkeypatch.undo()
+    return dict(zip(enumerate_flags(flag), seen, strict=True))
+
+
+def polytope_arcs(flag):
+    """The oracle: the arcs of the certified rays of the flag polytope's
+    vertex cone at each basis flag."""
+    space, poly = FlagSpace(flag.n, flag.ranks), flag_polytope(flag)
+    return {chain: sorted(map(_arc, cone_at_vertex(
+        poly, space.weight_vector(chain)).rays()))
+        for chain in enumerate_flags(flag)}
+
+
+class TestVertexConeRule:
+    """The vertex cone at a basis flag is read from the basis flags one
+    torus orbit away, with the shortcut arcs dropped."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)))
+    def test_arcs_match_the_polytope(self, flag):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert keyed_arcs(flag, monkeypatch) == polytope_arcs(flag)
+
+    def test_arcs_match_the_polytope_on_two_step_flags(self, monkeypatch):
+        flags = two_step_flags(4)
+        assert len(flags) == 357
+        for flag in flags:
+            assert keyed_arcs(flag, monkeypatch) == polytope_arcs(flag)
+
+    @pytest.mark.parametrize("name", [
+        "flag_rank12", "flag_u23_5", "k4", "nonpappus", "pappus8_matrix",
+        "pappus8_quotient_pair", "u12", "u24", "U(3,6)"])
+    def test_no_rank_table_or_tight_set(self, name, monkeypatch):
+        if name == "U(3,6)":
+            flag = flag_from_constituents([uniform_matroid(3, 6)])
+        else:
+            flag = fixture_flag(name)
+        # a single matroid's k_tutte is its Tutte polynomial
+        want = (tutte_rank_nullity(flag.constituents[0])
+                if len(flag.ranks) == 1 else k_tutte(flag))
+        want_y = per_flag_values(flag)
+
+        def refused(*args):
+            raise AssertionError("the k_tutte path built a polytope")
+
+        monkeypatch.setattr("flagtutte.matroid.Matroid.rank_table", refused)
+        monkeypatch.setattr("flagtutte.lattice._tight_set_neighbours",
+                            refused)
+        assert y_class(flag).values == want_y
+        assert k_tutte(flag) == want
 
 
 class TestO1:

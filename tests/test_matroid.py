@@ -245,6 +245,41 @@ class TestSubmodularity:
         assert first == reference_first_supermodular(table, n)
 
 
+def loop_first_drop(table, n):
+    """The per-mask loop _first_drop ran before it read slice pairs."""
+    bits = [1 << i for i in range(n)]
+    for m, r in enumerate(table):
+        for b in bits:
+            if not m & b and table[m | b] < r:
+                return m, m | b
+    return None
+
+
+class TestFirstDropSlices:
+    @settings(max_examples=300, deadline=None)
+    @given(monotone_tables(max_n=8))
+    def test_slices_find_the_loop_witness_on_monotone_tables(self, case):
+        # a raised entry can lower a step anywhere in the table
+        n, table = case
+        assert _first_drop(table, n) == loop_first_drop(table, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-2, 3), min_size=1 << n,
+                             max_size=1 << n))))
+    def test_slices_find_the_loop_witness_on_any_table(self, case):
+        n, table = case
+        assert _first_drop(table, n) == loop_first_drop(table, n)
+
+    def test_witness_is_smallest_mask_then_element(self):
+        # drops at (3, 7) through element 2 and at (4, 6) through
+        # element 1: the loop names m = 3 first
+        n = 3
+        table = [0, 1, 1, 2, 2, 2, 1, 1]
+        assert loop_first_drop(table, n) == (3, 7)
+        assert _first_drop(table, n) == (3, 7)
+
+
 class TestMinorsAndDuality:
     def test_delete_uniform(self):
         assert uniform_matroid(2, 4).delete(3) == uniform_matroid(2, 3)

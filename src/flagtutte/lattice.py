@@ -10,16 +10,18 @@ walk over the table that fixes a coordinate per level and closes the last
 two by an interval; the same walk lists the points or only counts them.
 
 The cone of a generalized permutohedron at a vertex is spanned by its edges
-there, each parallel to some e_i - e_j.  Edges come from one tight-set
-adjacency per polytope, and the edge directions are certified as the
-cone's rays without linear programming: each must be e_i - e_j, and one
-reachability closure of the arcs i -> j shows that they have no cycle
-(the cone is pointed) and no shortcut (each ray is extreme), with no
-topological order.  The same closure drops the shortcut arcs for
-:mod:`flagtutte.ktheory`, which reads a flag matroid's vertex cones from
-its basis flags and builds no polytope.  Any other cone gets its rays
-from the exact simplex, by :func:`flagtutte.oracle.lp_rays`, the oracle
-the edge rays are tested against; no polytope routine reaches it.
+there, each parallel to some e_i - e_j and ending one root step away.  So
+the edges at u are read from the vertex list alone: the vertices v with v - u
+a positive multiple of some e_i - e_j give the arcs i -> j, and one
+reachability closure of those arcs shows that they have no cycle (the cone
+is pointed) and drops the shortcut arcs, which another path leads along;
+the arcs left are the cone's rays, certified without linear programming
+and with no topological order.  :mod:`flagtutte.ktheory` reads a flag
+matroid's vertex cones by the same rule from its basis flags and builds no
+polytope.  Any other cone gets its rays from the exact simplex, by
+:func:`flagtutte.oracle.lp_rays`, the oracle the edge rays are tested
+against; of the polytope routines only :func:`edge_direction_check`, which
+tests the edge rule itself, runs the simplex.
 
 Cones are triangulated by a pulling triangulation over their extreme rays,
 and every piece is made half-open towards w = r_0 + eps*r_1 + eps^2*r_2 +
@@ -79,11 +81,23 @@ class LatticePolytope:
         self._neighbours = None
 
     def neighbours(self):
-        """For each vertex, the indices of the vertices it shares an edge
-        with; the tight-set test runs once per polytope."""
+        """For each vertex u, the indices, ascending, of the vertices it
+        shares an edge with: the vertices v one root step away (v - u a
+        positive multiple of some e_i - e_j, read as the arc i -> j) whose
+        arc no other path of those arcs leads along (:func:`_extreme_arcs`;
+        NotPointed when the arcs hold a cycle, as on a point list with a
+        non-vertex).  It is read once per polytope."""
         if self._neighbours is None:
-            self._neighbours = _tight_set_neighbours(self.n, self.z,
-                                                     self.vertices)
+            verts = self.vertices
+            out = []
+            for u in verts:
+                steps = [(k, _arc(linalg.primitive(_vsub(v, u))))
+                         for k, v in enumerate(verts)]
+                steps = [(k, arc) for k, arc in steps if arc is not None]
+                extreme = set(_extreme_arcs([arc for _, arc in steps],
+                                            self.n))
+                out.append(tuple(k for k, arc in steps if arc in extreme))
+            self._neighbours = tuple(out)
         return self._neighbours
 
     @property
@@ -258,52 +272,31 @@ def lattice_points(p):
 
 # ----------------------------------------------------------------- faces
 
-def _tight_masks(z, v):
-    """The sets tight at v, as a bitset with bit m for subset mask m, read
-    from one string of 2^n bits; a sum of 1 << m copies each partial sum."""
-    sums = _subset_sums(v)
-    return int("".join("01"[s == t] for s, t in zip(reversed(sums),
-                                                     reversed(z))), 2)
-
-
-def _tight_set_neighbours(n, z, verts):
-    """Edge adjacency of a generalized permutohedron from its tight sets.
-
-    The minimal face containing two vertices is cut out by their common
-    tight constraints; it is an edge exactly when no third vertex is tight
-    on all of them.
-    """
-    tight = [_tight_masks(z, v) for v in verts]
-    out = [[] for _ in verts]
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            common = tight[i] & tight[j]
-            if not any(common & t == common for k, t in enumerate(tight)
-                       if k != i and k != j):
-                out[i].append(j)
-                out[j].append(i)
-    return tuple(map(tuple, out))
-
-
 def edges(p):
-    """Vertex pairs forming 1-faces, as index pairs into p.vertices.
-
-    Uses the tight-set test of :meth:`LatticePolytope.neighbours`.
-    """
+    """Vertex pairs forming 1-faces, as index pairs into p.vertices, read
+    from the root steps of :meth:`LatticePolytope.neighbours`."""
     return [(i, j) for i, adjacent in enumerate(p.neighbours())
             for j in adjacent if i < j]
 
 
 def edge_direction_check(p, ranks=None):
     """Every edge parallel to some e_i - e_j; with `ranks`, every vertex is
-    the weight of a flag of those ranks up to the order of coordinates."""
+    the weight of a flag of those ranks up to the order of coordinates.
+
+    The edge rule of :meth:`LatticePolytope.neighbours` is not trusted: at
+    each vertex u, every difference v - u must lie in the cone of the
+    root-step edges at u, by the exact simplex (:func:`linalg.in_cone`).
+    Those cones are then the vertex cones, so every edge is a root step;
+    the witness of a failure is (u, v).  A point list whose root steps hold
+    a cycle raises NotPointed.
+    """
     verts = p.vertices
-    for i, j in edges(p):
-        d = _vsub(verts[j], verts[i])
-        support = [x for x in d if x != 0]
-        if len(support) != 2 or support[0] + support[1] != 0:
-            return Verdict(False, "edge not parallel to e_i - e_j",
-                           witness=(verts[i], verts[j]))
+    for u, adjacent in zip(verts, p.neighbours()):
+        rays = [_vsub(verts[k], u) for k in adjacent]
+        for v in verts:
+            if not linalg.in_cone(rays, _vsub(v, u)):
+                return Verdict(False, "edge not parallel to e_i - e_j",
+                               witness=(u, v))
     if ranks is not None:
         expected = flag_weight(p.n, ranks, tuple(
             tuple(range(k)) for k in sorted(set(ranks))))
@@ -352,11 +345,12 @@ class RationalCone:
 def cone_at_vertex(p, v):
     """Cone spanned by u - v over all vertices u of the polytope.
 
-    It is spanned by the edges at v (:meth:`LatticePolytope.neighbours`),
-    whose directions :func:`edge_cone` certifies as its rays without linear
-    programming.  On a :func:`flag_polytope` it is the oracle for the
-    rule :func:`flagtutte.ktheory.y_class` reads the cone by: the arcs to
-    the basis flags one torus orbit away, less the shortcut ones.
+    It is spanned by the edges at v, the root steps to other vertices less
+    the shortcut ones (:meth:`LatticePolytope.neighbours`), whose
+    directions :func:`edge_cone` certifies as its rays without linear
+    programming.  On a :func:`flag_polytope` it is the oracle for
+    :func:`flagtutte.ktheory.y_class`, which reads the cone by the same
+    rule from the basis flags one torus orbit away.
     """
     v = tuple(v)
     if v not in p.vertices:

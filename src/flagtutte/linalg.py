@@ -4,8 +4,9 @@ Gaussian elimination on ``fractions.Fraction`` matrices, behind the rank of
 a matrix (matrix matroids and subspace polymatroids); primitive integer
 vectors (cone generators) by one n-ary ``math.gcd``; and a phase-one
 simplex for exact linear feasibility, which only :mod:`flagtutte.oracle`
-(the rays of a general cone) and the tests call, since every polytope
-carries its submodular table.  Nullspaces, exact solutions, the integer
+(the rays of a general cone), :func:`flagtutte.lattice.edge_direction_check`
+(which no verb runs) and the tests call, since every vertex cone is read
+from root steps.  Nullspaces, exact solutions, the integer
 diagonalization and the hull test are oracles, in :mod:`flagtutte.oracle`.
 No floating point anywhere.
 """

@@ -436,7 +436,7 @@ class TestVertexConeRule:
             raise AssertionError("the k_tutte path built a polytope")
 
         monkeypatch.setattr("flagtutte.matroid.Matroid.rank_table", refused)
-        monkeypatch.setattr("flagtutte.lattice._tight_set_neighbours",
+        monkeypatch.setattr("flagtutte.lattice.LatticePolytope.neighbours",
                             refused)
         assert y_class(flag).values == want_y
         assert k_tutte(flag) == want

@@ -14,19 +14,21 @@ Renaming the variables maps a cone, its chart and that numerator alike,
 and ordering the elements by the level of a flag that first holds them
 maps its chart to one standard chart of the space, so the cones that are
 one cone relabelled share one numerator, computed once and renamed to each
-flag (:func:`y_class`).  Multiplying by the Segre-Veronese line-bundle
-weight t^{e_F} (a shift at each flag), pulling back to Fl(1, k, n-1) and
-pushing forward to the product of two projective spaces (chain by chain:
-each basis flag's own chart, less the pairs of a target chart, gives its
-term at every target point over it, so the larger space is never built),
-then solving triangularly against the coordinate-subspace classes, one
-factor at a time, produces the bivariate polynomial invariant; every
-division along the way must be exact.
+flag (:func:`y_class`); the GKM certificate is decided per shape and chart
+character and relabelled to each orbit.  Multiplying by the Segre-Veronese
+line-bundle weight t^{e_F} (a shift at each flag), pulling back to
+Fl(1, k, n-1) and pushing forward to the product of two projective spaces
+(chain by chain: each basis flag's own chart, less the pairs of a target
+chart, gives its term at every target point over it, so the larger space
+is never built), then solving triangularly against the coordinate-subspace
+classes, one factor at a time, produces the bivariate polynomial
+invariant; every division along the way must be exact.
 
 Only that invariant's value at t = 1 is needed, so :func:`k_tutte` applies
 the ring map t_i -> z^{w_i}, for n distinct integers w_i, to the
-localization class, and the line bundle is then a shift by z^(w.e_F) at
-each flag F.  Every character the pushforward, its GKM check and the
+localization class, each shape's numerator along the weights read in a
+flag's frame, and the line bundle is then a shift by z^(w.e_F) at each
+flag F.  Every character the pushforward, its GKM check and the
 reduction divide by is some e_i - e_j, of degree w_i - w_j != 0, and a
 ring map into the domain Z[z^±] keeps each exact quotient exact and unique
 and commutes with the evaluation at 1, so the polynomial is the same.  A
@@ -240,14 +242,16 @@ class ProjProductSpace:
         return f"ProjProductSpace(n={self.n})"
 
 
-def _orbits(space, points):
+def _orbits(space, points, lists=None):
     """The 1-dim orbits of the space with an end among the points, each
     once as (smaller end, larger end, (i, j)) with (i, j) its pair at the
-    smaller end, sorted by that end and pair.  In both spaces the orbit
-    from p to q along (i, j) runs from q to p along (j, i)."""
+    smaller end, sorted by that end and pair; `lists` holds
+    space.orbits_at(p) for each point when they are at hand.  In both
+    spaces the orbit from p to q along (i, j) runs from q to p along
+    (j, i)."""
     found = set()
-    for p in points:
-        for q, (i, j) in space.orbits_at(p):
+    for p, at in zip(points, lists or map(space.orbits_at, points)):
+        for q, (i, j) in at:
             found.add((p, q, (i, j)) if p < q else (q, p, (j, i)))
     return sorted(found, key=lambda orbit: (orbit[0], orbit[2], orbit[1]))
 
@@ -347,6 +351,63 @@ def o1_class(space):
                 for fp in space.fixed_points()})
 
 
+def _y_shapes(flag_matroid):
+    """:func:`y_class` by cone shape, its certificate decided: (space,
+    {shape key: numerator against the standard chart}, {basis flag:
+    (shape key, order, place)}); a flag's value is its shape's numerator
+    renamed by `order`, which `place` inverts."""
+    n = flag_matroid.n
+    guard_table(n)
+    space = FlagSpace(n, flag_matroid.ranks)
+    flags = enumerate_flags(flag_matroid)
+    basis = set(flags)
+    standard = tuple(tuple(range(r)) for r in space.distinct_ranks)
+    denom = [_char(n, j, i) for i, j in space.chart_pairs(standard)]
+    shapes, frames, lists = {}, {}, []
+    for chain in flags:
+        lists.append(space.orbits_at(chain))
+        arcs = _extreme_arcs([(j, i) for end, (i, j) in lists[-1]
+                              if end in basis], n)
+        # the first level holding e, as the levels missing e come first
+        block = [sum(e not in part for part in chain) for e in range(n)]
+        tails = Counter(i for i, _ in arcs)
+        heads = Counter(j for _, j in arcs)
+        order = sorted(range(n), key=lambda e: (block[e], tails[e],
+                                                heads[e], e))
+        place = {e: p for p, e in enumerate(order)}
+        key = tuple(sorted((place[i], place[j]) for i, j in arcs))
+        if key not in shapes:
+            shapes[key] = hilbert_numerator(
+                edge_cone([_char(n, i, j) for i, j in key], n), denom)
+        frames[chain] = key, order, place
+    residues, verdicts = {}, {}
+
+    def residue(chain, i, j):
+        # along e_i - e_j in the flag's places, the same along e_j - e_i
+        key, _, place = frames[chain]
+        a, b = sorted((place[i], place[j]))
+        if (key, a, b) not in residues:
+            residues[key, a, b] = shapes[key].residue_poly(_char(n, a, b))
+        return residues[key, a, b]
+
+    for f1, f2, (i, j) in _orbits(space, flags, lists):
+        if f1 not in basis or f2 not in basis:
+            ok = residue(f1 if f1 in basis else f2, i, j).is_zero()
+        else:
+            (s1, _, place), (s2, order2, _) = frames[f1], frames[f2]
+            sigma = tuple(place[e] for e in order2)  # f2's places to f1's
+            chi = _char(n, place[i], place[j])
+            if (s1, s2, sigma, chi) not in verdicts:
+                verdicts[s1, s2, sigma, chi] = residue(f1, i, j) == residue(
+                    f2, i, j).rename(sigma).residue_poly(chi)
+            ok = verdicts[s1, s2, sigma, chi]
+        if not ok:
+            raise InexactDivision(f"y_class: localization class is "
+                                  f"incompatible along orbit "
+                                  f"{(f1, f2, (i, j))}")
+    return space, shapes, frames
+
+
 def y_class(flag_matroid):
     """Localization class of a flag matroid.
 
@@ -360,41 +421,30 @@ def y_class(flag_matroid):
     (:func:`_extreme_arcs`); no polytope is built.  Its nodes are ordered
     by the first level of F that holds them (elements in no level last),
     then by out- and in-degree among the arcs, then by label, and
-    relabelled by their places in that order.  Every chart of the space
-    then becomes one standard chart, the pairs (a, b) with a in an
-    earlier block than b, so the relabelled arcs, sorted, key the cone's
-    shape.  Each shape's numerator is computed once against the standard
-    chart and renamed back to each flag of that shape
+    relabelled by their places in that order, F's frame.  Every chart of
+    the space then becomes one standard chart, the pairs (a, b) with a in
+    an earlier block than b, so the relabelled arcs, sorted, key the
+    cone's shape.  Each shape's numerator is computed once against the
+    standard chart and renamed back to each flag of that shape
     (:meth:`LaurentPoly.rename`); the numerator is unique, so the values
-    are those computed flag by flag.  The GKM congruence is asserted on
-    the result.  OutOfRange past MAX_TABLE_ELEMENTS, as in :func:`k_tutte`.
+    are those computed flag by flag.
+
+    The GKM congruence, the certificate, is decided per shape and chart
+    character: each shape's residue along each e_a - e_b of the standard
+    chart is taken at most once, and an orbit from F to F' compares the
+    residue at F with the one at F' renamed into F's frame and taken again
+    along F's character (a renaming is a ring automorphism, so it maps the
+    ideal (1 - t^chi) onto (1 - t^(sigma chi))), or, with one end off the
+    support, checks that the other's residue is zero.  Each verdict is
+    kept per (shapes at both ends, relabelling, character) for the call,
+    and the first failing orbit in :meth:`FlagSpace.one_dim_orbits` order
+    raises InexactDivision, as :meth:`EquivariantClass.assert_gkm` does.
+    OutOfRange past MAX_TABLE_ELEMENTS, as in :func:`k_tutte`.
     """
-    n = flag_matroid.n
-    guard_table(n)
-    space = FlagSpace(n, flag_matroid.ranks)
-    flags = enumerate_flags(flag_matroid)
-    basis = set(flags)
-    standard = tuple(tuple(range(r)) for r in space.distinct_ranks)
-    denom = [_char(n, j, i) for i, j in space.chart_pairs(standard)]
-    shapes, values = {}, {}
-    for chain in flags:
-        arcs = _extreme_arcs([(j, i) for end, (i, j) in space.orbits_at(chain)
-                              if end in basis], n)
-        # the first level holding e, as the levels missing e come first
-        block = [sum(e not in part for part in chain) for e in range(n)]
-        tails = Counter(i for i, _ in arcs)
-        heads = Counter(j for _, j in arcs)
-        order = sorted(range(n), key=lambda e: (block[e], tails[e],
-                                                heads[e], e))
-        place = {e: p for p, e in enumerate(order)}
-        key = tuple(sorted((place[i], place[j]) for i, j in arcs))
-        if key not in shapes:
-            shapes[key] = hilbert_numerator(
-                edge_cone([_char(n, i, j) for i, j in key], n), denom)
-        values[chain] = shapes[key].rename(order)
-    cls = EquivariantClass(space, values)
-    cls.assert_gkm("y_class")
-    return cls
+    space, shapes, frames = _y_shapes(flag_matroid)
+    return EquivariantClass(space, {
+        chain: shapes[key].rename(order)
+        for chain, (key, order, _) in frames.items()})
 
 
 def pullback(cls, target_space):
@@ -516,19 +566,21 @@ def k_tutte(flag_matroid, weights=None):
     Pipeline: localization class, twist by the line bundle O(1), pull-push
     to the line-hyperplane product through ranks (1, k, n-1), triangular
     reduction.  Exponents stay below n in each variable by construction.
-    The localization class y is GKM-checked in the torus characters, from
-    its support, and that check is the certificate.  The twist needs no
-    check of its own: along an orbit with character chi, the exponents of
-    O(1) at its ends differ by a multiple of chi, so the product's
-    congruence is y's times a unit t^{e_F}.  Nor does the pulled-back
-    class: each 1-dim orbit of Fl(1, k, n-1) projects to one point, where
-    the difference is zero, or onto an orbit of Fl(k) with the same
-    character.  Then y is specialized along t_i -> z^{w_i}, w the given
-    weights or 0, ..., n-1 (BadWeights, before any cone is built, unless n
-    distinct integers), and O(1) is a shift by z^{w.e_F} at each basis
-    flag F, so no fixed point off y's support is listed.  The pull-push
-    and the reduction run in Z[z^±], with the same result for every such
-    w, as the module docstring shows.
+    The localization class y is GKM-checked in the torus characters, per
+    cone shape and chart character (:func:`y_class`), and that check is
+    the certificate.  The twist needs no check of its own: along an orbit
+    with character chi, the exponents of O(1) at its ends differ by a
+    multiple of chi, so the product's congruence is y's times a unit
+    t^{e_F}.  Nor does the pulled-back class: each 1-dim orbit of
+    Fl(1, k, n-1) projects to one point, where the difference is zero, or
+    onto an orbit of Fl(k) with the same character.  Then y is specialized
+    along t_i -> z^{w_i}, w the given weights or 0, ..., n-1 (BadWeights,
+    before any cone is built, unless n distinct integers): at a basis flag
+    F, its shape's numerator along the weights read in F's frame, so y is
+    never expanded in the torus characters.  O(1) is a shift by
+    z^{w.e_F} at each F, so no fixed point off y's support is listed.  The
+    pull-push and the reduction run in Z[z^±], with the same result for
+    every such w, as the module docstring shows.
     """
     n = flag_matroid.n
     if n < 2:
@@ -537,8 +589,9 @@ def k_tutte(flag_matroid, weights=None):
     weights = tuple(range(n)) if weights is None else tuple(weights)
     space = FlagSpace(n, flag_matroid.ranks)  # OutOfRange past 10! points
     EquivariantClass(space, {}).specialize(weights)  # BadWeights, no cone
-    twisted = {chain: v.specialize(weights).shift(
-                   (sum(map(mul, weights, space.weight_vector(chain))),))
-               for chain, v in y_class(flag_matroid).values.items()}
+    _, shapes, frames = _y_shapes(flag_matroid)
+    twisted = {chain: shapes[key].specialize([weights[e] for e in order])
+               .shift((sum(map(mul, weights, space.weight_vector(chain))),))
+               for chain, (key, order, _) in frames.items()}
     return to_nonequivariant(pushforward_to_pp(
         EquivariantClass(space, twisted, weights)))

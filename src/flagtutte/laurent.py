@@ -374,6 +374,13 @@ class LaurentPoly:
             sums[base] = sums.get(base, 0) + c
         return {r: c for r, c in sums.items() if c}
 
+    def residue_poly(self, a):
+        """:meth:`residue` as a polynomial, each line's sum at its base r.
+        A base lies within bound * (1 + max |a_i|) of the origin (twice
+        the bound along e_i - e_j), a range :meth:`_lines` has checked."""
+        return LaurentPoly._make(self.nvars, self.residue(a),
+                                 self._bound * (1 + _norm(a)))
+
     def __repr__(self):
         return f"LaurentPoly({self.nvars}, {format_poly(self)})"
 

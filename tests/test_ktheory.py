@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -440,6 +441,90 @@ class TestVertexConeRule:
                             refused)
         assert y_class(flag).values == want_y
         assert k_tutte(flag) == want
+
+
+def certificate(flag, bump=None, k=0):
+    """(the InexactDivision message of y_class or None, the number of cone
+    shapes, the expanded class whose GKM check y_class decides), with the
+    k-th shape's numerator plus the polynomial `bump` when one is given."""
+    calls = []
+
+    def bumped(cone, denom):
+        calls.append(cone)
+        p = hilbert_numerator(cone, denom)
+        return p + bump if bump is not None and len(calls) == k + 1 else p
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("flagtutte.ktheory.hilbert_numerator", bumped)
+        try:
+            y_class(flag)
+            message = None
+        except InexactDivision as exc:
+            message = str(exc)
+        shapes = len(calls)
+        calls.clear()
+        # the same numerators renamed to each flag, no orbit walked
+        monkeypatch.setattr("flagtutte.ktheory._orbits", lambda *args: [])
+        expanded = y_class(flag)
+    return message, shapes, expanded
+
+
+def rejection(orbit):
+    """The message y_class raises for an incongruent orbit, or None."""
+    return None if orbit is None else (
+        f"y_class: localization class is incompatible along orbit {orbit}")
+
+
+def gkm_witness(cls):
+    verdict = cls.gkm_verdict()
+    return None if verdict else verdict.witness
+
+
+class TestShapeCertificate:
+    """y_class decides the GKM congruence once per cone shape, chart
+    character and relabelling, with the expanded class's verdict and
+    witness."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)), st.data())
+    def test_agrees_with_lex_division_on_the_expanded_class(self, flag,
+                                                            data):
+        message, shapes, expanded = certificate(flag)
+        assert message is None is first_incongruent_orbit(expanded)
+        bump = LaurentPoly.monomial(
+            data.draw(st.tuples(*[st.integers(-2, 2)] * flag.n)),
+            data.draw(st.sampled_from([-2, -1, 1, 2])))
+        message, _, expanded = certificate(
+            flag, bump, data.draw(st.integers(0, shapes - 1)))
+        assert message == rejection(first_incongruent_orbit(expanded))
+
+    def test_agrees_with_lex_division_on_two_step_flags(self):
+        rng, rejected = random.Random(5), 0
+        for flag in two_step_flags(4):
+            message, shapes, expanded = certificate(flag)
+            assert message is None is first_incongruent_orbit(expanded)
+            # the constant keeps the congruence where all ends are flags
+            bump = LaurentPoly.monomial(
+                [rng.randint(-1, 1) * rng.randint(0, 1) for _ in range(4)],
+                rng.choice([-1, 1]))
+            message, _, expanded = certificate(flag, bump,
+                                               rng.randrange(shapes))
+            assert message == rejection(first_incongruent_orbit(expanded))
+            rejected += message is not None
+        assert 0 < rejected < 357
+
+    @pytest.mark.parametrize("name", [
+        "flag_rank12", "flag_u23_5", "k4", "nonpappus", "pappus8_matrix",
+        "pappus8_quotient_pair", "u12", "u24"])
+    def test_agrees_with_the_expanded_check_on_fixtures(self, name):
+        flag = fixture_flag(name)
+        message, shapes, expanded = certificate(flag)
+        assert message is None is gkm_witness(expanded)
+        for k in range(shapes):
+            exp = unit(flag.n, k % flag.n) if k % 2 else (0,) * flag.n
+            message, _, expanded = certificate(
+                flag, LaurentPoly.monomial(exp), k)
+            assert message == rejection(gkm_witness(expanded))
 
 
 class TestO1:

@@ -341,6 +341,28 @@ class TestPackedKeys:
         inverse = [targets.index(q) for q in range(len(targets))]
         assert renamed.rename(inverse) == poly
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        term_dicts(n), st.permutations(range(n)),
+        st.tuples(*[st.integers(-9, 9)] * n))))
+    def test_rename_then_specialize_reads_the_weights_in_its_frame(self,
+                                                                  case):
+        # k_tutte specializes each shape's numerator in a flag's frame
+        p, targets, weights = case
+        poly, n = LaurentPoly(len(targets), p), len(targets)
+        assert poly.rename(targets).specialize(weights) == \
+            poly.specialize([weights[targets[i]] for i in range(n)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_cases(lambda n: directions(n).filter(any), far=False))
+    def test_residue_poly_holds_each_line_sum_at_its_base(self, case):
+        n, p, _, a = case
+        folded = LaurentPoly(n, p).residue_poly(a)
+        assert folded.terms == ref_residue(p, a)
+        assert folded._bound >= max(
+            (abs(x) for e in folded.terms for x in e), default=0)
+        assert folded.residue(a) == LaurentPoly(n, p).residue(a)
+
     def test_rename_needs_a_permutation(self):
         for targets in ((0, 0), (0,), (1, 2), (0, 1, 2)):
             with pytest.raises(DimensionMismatch):

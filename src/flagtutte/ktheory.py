@@ -33,24 +33,40 @@ reduction divide by is some e_i - e_j, of degree w_i - w_j != 0, and a
 ring map into the domain Z[z^±] keeps each exact quotient exact and unique
 and commutes with the evaluation at 1, so the polynomial is the same.  A
 class records which ring its values live in
-(:attr:`EquivariantClass.weights`), and each of those three stages has one
-body over the class's map from a pair (i, j) to an exponent: e_i - e_j
-itself, the multivariate oracle, or its degree.  A GKM check compares the
-residues of the two ends of an orbit modulo 1 - t^chi
-(:meth:`flagtutte.laurent.LaurentPoly.residue`), on the orbits that end in
-the class's support: any other compares 0 with 0.  A GKM or exactness
-check that runs after the specialization, in Z[z^±], is a necessary
-condition only; the multivariate GKM check on the localization class is
-the certificate.
+(:attr:`EquivariantClass.weights`).  The pushforward, its GKM check and
+the reduction have a LaurentPoly body over the class's map from a pair
+(i, j) to an exponent: e_i - e_j itself, the multivariate oracle, or its
+degree.  A GKM check there compares the residues of the two ends of an
+orbit modulo 1 - t^chi (:meth:`flagtutte.laurent.LaurentPoly.residue`),
+on the orbits that end in the class's support: any other compares 0 with
+0.  On a specialized class, the pushforward with its GKM check and the
+reduction run first on packed ints (:class:`flagtutte.laurent._Packing`):
+a value z^lo * sum c_k z^k is the int sum c_k 2^(width*k), with lo kept
+beside it, and every division, and every congruence as the division of
+the two ends' difference, is one ``divmod`` by 1 - 2^(width*d).  Each
+quotient's digits are checked, with one addition and one mask, to lie in
+[-2^C, 2^C), C = :data:`flagtutte.laurent._DIGIT_BITS`, and the width
+keeps every true digit below 2^(width-1) between checks, so a zero
+remainder with passing digits proves a division exact and a nonzero
+remainder proves it inexact.  The LaurentPoly body takes the stage over,
+raising its own errors and witnesses, when an input coefficient reaches
+2^C, when the packed values would need more than
+:data:`flagtutte.laurent._PACKED_BITS` bits (the weights' spread decides
+that), or when a remainder is nonzero or a check fails.  A GKM or
+exactness check that runs after the specialization, in Z[z^±], is a
+necessary condition only; the multivariate GKM check on the localization
+class is the certificate.
 """
 
 from collections import Counter
+from itertools import combinations
 from math import factorial
 from operator import mul
 
 from .errors import (BadWeights, InexactDivision, OutOfRange, ParseError,
                      SpaceMismatch, Verdict)
-from .laurent import LaurentPoly, binomial_fraction_sum
+from .laurent import (LaurentPoly, _Fallback, _multiset_sub, _Packing,
+                      binomial_fraction_sum)
 from .lattice import _extreme_arcs, edge_cone, hilbert_numerator
 from .matroid import MAX_ORDERING_ELEMENTS, guard_table, uniform_matroid
 from .polyflag import FlagMatroid, enumerate_flags, flag_weight
@@ -486,7 +502,26 @@ def pushforward_to_pp(cls):
     in the ring of the class (:meth:`EquivariantClass.char`): a
     specialized class pushes forward to a specialized class, and its
     checks run in Z[z^±], as necessary conditions only.
+
+    A specialized class runs on packed ints first
+    (:func:`_pushforward_packed`): each value z^lo * sum c_k z^k is the
+    int sum c_k 2^(width*k) with lo beside it, every division and every
+    GKM congruence is one ``divmod`` by 1 - 2^(width*d), and each quotient's
+    digits are checked to lie in [-2^C, 2^C), C =
+    :data:`flagtutte.laurent._DIGIT_BITS`, with the width chosen so that no
+    true digit reaches 2^(width-1) between checks.  The body below, on
+    LaurentPoly values, takes over when an input coefficient reaches 2^C,
+    when the values would need more than
+    :data:`flagtutte.laurent._PACKED_BITS` bits (a wide cocharacter), or
+    when a remainder is nonzero or a check fails; it raises the same
+    InexactDivision, with its text and witness, as it always does.  The
+    pushed values are read back into LaurentPoly values.
     """
+    if cls.weights is not None:
+        try:
+            return _pushforward_packed(cls)
+        except _Fallback:
+            pass
     space, char, n = cls.space, cls.char, cls.space.n
     target = ProjProductSpace(n)
     terms = {}
@@ -514,20 +549,99 @@ def pushforward_to_pp(cls):
     return out
 
 
-def _solve_along(values, factor):
-    """Coefficients x_0, ..., x_{n-1} with
-    values[i] = sum_{a <= i} x_a prod_{l < a} (1 - t^factor(l, i)).
+def _pushforward_packed(cls):
+    """:func:`pushforward_to_pp` of a specialized class on packed ints
+    (:class:`flagtutte.laurent._Packing`), or _Fallback.
 
-    Terms a > i vanish, as their product holds 1 - t^factor(i, i) = 0.  In
-    Newton's form values[i] = x_0 + (1 - t^factor(0, i)) (x_1 + ...), so
-    x_i is values[i] with each earlier x_a subtracted and the diagonal
-    binomial 1 - t^factor(a, i) divided off in turn, exactly
-    (InexactDivision otherwise); no basis product is built.
+    The same fiber terms, each chart factor 1 - z^d turned to d > 0, and
+    the same common denominator per point; the factor 1 - z^c of the
+    target chart, c = w_m - w_a, is turned the same way (a shift by z^c
+    and a sign when c < 0), so it cancels against that denominator
+    whenever |c| is in it.  Then every orbit of P^{n-1} x P^{n-1} is
+    checked: the difference of its ends divides by 1 - z^|chi|.  A fiber
+    sum's digits stay below T * 2^(C + K + 1) for T terms and K factors a
+    term is multiplied by, and every value stays within the input range
+    widened by the largest shift plus factor degrees of a term and by
+    twice the spread of w (the target factor, then the alignment of two
+    ends).
+    """
+    space, w, n = cls.space, cls.weights, cls.space.n
+    fibers = {}
+    for chain in cls.values:
+        degrees = [(i, j, w[i] - w[j]) for i, j in space.chart_pairs(chain)]
+        outside = [m for m in range(n) if m not in chain[-1]]
+        for a in chain[0]:
+            for m in outside:
+                # 1/(1 - z^-d) = -z^d / (1 - z^d) for each d > 0
+                kept = [d for i, j, d in degrees if i != a and j != m]
+                flips = [d for d in kept if d > 0]
+                fibers.setdefault((a, m), []).append(
+                    (chain, sum(flips), len(flips) % 2,
+                     sorted(map(abs, kept))))
+    sums, headroom, reach = {}, 0, 0
+    for point, fiber in fibers.items():
+        common = ()
+        for *_, den in fiber:
+            common += _multiset_sub(den, common)
+        terms = [(chain, s, odd, _multiset_sub(common, den))
+                 for chain, s, odd, den in fiber]
+        headroom = max(headroom, len(terms).bit_length() + 1
+                       + max(len(t[3]) for t in terms))
+        reach = max(reach, max(t[1] + sum(t[3]) for t in terms))
+        sums[point] = common, terms
+    packed = _Packing(cls.values.values(), reach + 2 * (max(w) - min(w)),
+                      headroom)
+    encoded = {chain: packed.encode(v) for chain, v in cls.values.items()}
+    pushed = {}
+    for (a, m), (common, terms) in sums.items():
+        total = 0
+        for chain, s, odd, factors in terms:
+            x = packed.shift(encoded[chain], s)
+            for d in factors:
+                x = packed.times_one_minus(x, d)
+            total = total - x if odd else total + x
+        c = w[m] - w[a]  # 1 - z^c = -z^c (1 - z^-c) when c < 0
+        divisors = list(common)
+        if abs(c) in divisors:
+            divisors.remove(abs(c))
+        else:
+            total = packed.times_one_minus(total, abs(c))
+        for d in divisors:
+            total = packed.divide(total, d)
+        total = packed.check(total)
+        pushed[a, m] = (packed.lo + c, -total) if c < 0 else (packed.lo,
+                                                               total)
+    low = min((lo for lo, _ in pushed.values()), default=0)
+    grid = {p: packed.shift(x, lo - low) for p, (lo, x) in pushed.items()}
+    for a, b in combinations(range(n), 2):
+        for l in range(n):
+            # lines a and b over the hyperplane missing l, and the line l
+            # in the hyperplanes missing a and b, both along e_a - e_b
+            for diff in (grid.get((a, l), 0) - grid.get((b, l), 0),
+                         grid.get((l, a), 0) - grid.get((l, b), 0)):
+                if diff:
+                    packed.divide(diff, abs(w[a] - w[b]))
+    target = ProjProductSpace(n)
+    return EquivariantClass(target, {
+        ((a,), target.hyperplane(m)): packed.decode(x, lo)
+        for (a, m), (lo, x) in pushed.items()}, w)
+
+
+def _solve_along(values, divide):
+    """Coefficients x_0, ..., x_{n-1} with
+    values[i] = sum_{a <= i} x_a prod_{l < a} (1 - t^chi(l, i)), where
+    divide(v, a, i) is v / (1 - t^chi(a, i)).
+
+    Terms a > i vanish, as their product holds 1 - t^chi(i, i) = 0.  In
+    Newton's form values[i] = x_0 + (1 - t^chi(0, i)) (x_1 + ...), so x_i
+    is values[i] with each earlier x_a subtracted and the diagonal
+    binomial 1 - t^chi(a, i) divided off in turn, exactly (InexactDivision
+    or _Fallback otherwise); no basis product is built.
     """
     out = []
     for i, v in enumerate(values):
         for a, x in enumerate(out):
-            v = (v - x).exact_divide(factor(a, i))
+            v = divide(v - x, a, i)
         out.append(v)
     return out
 
@@ -546,17 +660,47 @@ def to_nonequivariant(cls):
     class's values; on a specialized class, where z = 1 stands for t = 1,
     the quotients are the images of the multivariate ones, and exactness
     there is a necessary condition only.
+
+    A specialized class is solved on packed ints first, all values from
+    the lowest exponent among them: a value sum c_k z^k is the int
+    sum c_k 2^(width*k), each Newton step is a subtraction and one
+    ``divmod`` by 1 - 2^(width*d) (a quotient by 1 - z^d, d < 0, is the
+    one by 1 - z^-d shifted up and negated, so it stays in the range of
+    its dividend), each quotient's digits are checked to lie in
+    [-2^C, 2^C), C = :data:`flagtutte.laurent._DIGIT_BITS`, and the value
+    at z = 1 is the int modulo 2^width - 1.  The LaurentPoly solve takes
+    over, and raises its InexactDivision, when an input
+    coefficient reaches 2^C, when the values would need more than
+    :data:`flagtutte.laurent._PACKED_BITS` bits, or when a remainder is
+    nonzero or a check fails.
     """
     if not isinstance(cls.space, ProjProductSpace):
         raise SpaceMismatch("reduction is defined on the product space")
-    n, char = cls.space.n, cls.char
-    rows = [_solve_along([cls.value(((i,), cls.space.hyperplane(m)))
-                          for i in range(n)], char) for m in range(n)]
+    space, w, char = cls.space, cls.weights, cls.char
+    values = [[cls.value(((i,), space.hyperplane(m))) for i in range(space.n)]
+              for m in range(space.n)]
+    if w is not None:
+        try:
+            packed = _Packing([v for row in values for v in row], 0, 2)
+            return _reduce([list(map(packed.encode, row)) for row in values],
+                           lambda x, i, j: packed.divide(x, w[i] - w[j]),
+                           packed.at_one)
+        except _Fallback:
+            pass
+    return _reduce(values, lambda x, i, j: x.exact_divide(char(i, j)),
+                   LaurentPoly.subs_one)
+
+
+def _reduce(values, divide, at_one):
+    """:func:`to_nonequivariant` on values[m][i], the value at the line i
+    in the hyperplane missing m, in one arithmetic: divide(x, i, j) is x
+    over 1 - t^chi(i, j), at_one the value at t = 1."""
+    rows = [_solve_along(row, divide) for row in values]
     out = {}
-    for a in range(n):
+    for a in range(len(values)):
         column = _solve_along([row[a] for row in rows],
-                              lambda l, m: char(m, l))
-        out.update(((b, a), c.subs_one()) for b, c in enumerate(column))
+                              lambda x, l, m: divide(x, m, l))
+        out.update(((b, a), at_one(c)) for b, c in enumerate(column))
     return LaurentPoly(2, out)
 
 
@@ -580,7 +724,9 @@ def k_tutte(flag_matroid, weights=None):
     never expanded in the torus characters.  O(1) is a shift by
     z^{w.e_F} at each F, so no fixed point off y's support is listed.  The
     pull-push and the reduction run in Z[z^±], with the same result for
-    every such w, as the module docstring shows.
+    every such w, as the module docstring shows: on packed ints, or on
+    LaurentPoly values for a cocharacter too wide to pack
+    (:func:`pushforward_to_pp`, :func:`to_nonequivariant`).
     """
     n = flag_matroid.n
     if n < 2:

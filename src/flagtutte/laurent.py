@@ -31,6 +31,24 @@ wrap into its neighbouring coordinate.  One variable has no such range.
 Exponent vectors are tuples at the boundary: the constructor takes them,
 and :attr:`LaurentPoly.terms` and :meth:`LaurentPoly.sorted_terms` give
 them back.
+
+A stage that runs in one variable can pack a whole polynomial into one
+int instead (:class:`_Packing`, Kronecker substitution z -> 2^width):
+z^lo * sum_k c_k z^k is the int sum_k c_k 2^(width*k), with signed
+digits and lo kept beside it.  A shift by z^s is ``<< width*s``, a
+product with 1 - z^d is ``x - (x << width*d)``, a division by 1 - z^d is
+``divmod(x, 1 - (1 << width*d))`` and the value at z = 1 is the residue
+modulo 2^width - 1.  A polynomial is read back from its digits only while
+each digit is below 2^(width-1), so the digits are checked after every
+division: biased by 2^C (C = :data:`_DIGIT_BITS`), every one of them must
+lie in the low C + 1 bits of its field, one addition and one mask.  The
+width leaves room for the growth of a stage between two checks, so a
+nonzero remainder proves a division inexact, and a zero remainder with
+passing digits proves it exact, with the quotient in those digits.  When
+an input coefficient reaches 2^C, when the ints would need more than
+:data:`_PACKED_BITS` bits, or when a division fails either way, the
+packing raises :class:`_Fallback`, and the stage is run again on
+:class:`LaurentPoly` values, which raise the errors and witnesses.
 """
 
 from itertools import repeat
@@ -82,6 +100,99 @@ def _add_into(keys, other):
             keys[k] = v
         else:
             del keys[k]
+
+
+_DIGIT_BITS = 40          # C: a checked packed digit lies in [-2^C, 2^C)
+_PACKED_BITS = 1 << 16    # the most bits a packed value may need
+
+
+class _Fallback(Exception):
+    """A packed computation cannot vouch for its result; its caller runs
+    the stage on LaurentPoly values instead."""
+
+
+class _Packing:
+    """One-variable polynomials of a stage as ints, one digit of `width`
+    bits per exponent, relative to a base exponent (module docstring).
+
+    Made from the stage's input polynomials: :attr:`lo` is their lowest
+    exponent, the base of :meth:`encode`.  `extra` bounds how many
+    exponents past the inputs' range any value of the stage reaches, so
+    every value, read from its own base, has at most `length` digits, the
+    inputs' range plus `extra`; `headroom` bounds the growth between
+    checks: every value divided, checked or read at one is a sum of
+    products of checked digits whose true digits stay below
+    2^(C + headroom).  The width, a multiple of 64, keeps those below
+    2^(width - 1) and keeps length * 2^C below 2^(width - 2) for
+    :meth:`at_one`.  _Fallback when an input coefficient reaches 2^C or
+    width * length passes :data:`_PACKED_BITS`.
+    """
+
+    __slots__ = ("lo", "width", "_bias", "_mask", "_fold")
+
+    def __init__(self, polys, extra, headroom):
+        keys = [p._keys for p in polys if p._keys]
+        self.lo = min((min(k) for k in keys), default=0)
+        length = max((max(k) for k in keys), default=0) - self.lo + 1 + extra
+        width = -(-(_DIGIT_BITS + max(headroom, length.bit_length()) + 2)
+                  // 64) * 64
+        if width * length > _PACKED_BITS or any(
+                abs(c) >> _DIGIT_BITS for k in keys for c in k.values()):
+            raise _Fallback
+        ones = ((1 << width * length) - 1) // ((1 << width) - 1)
+        self.width = width
+        self._bias = ones << _DIGIT_BITS
+        self._mask = ~(ones * ((2 << _DIGIT_BITS) - 1))
+        self._fold = (1 << width) - 1
+
+    def encode(self, poly):
+        """A polynomial of the stage as an int from the base :attr:`lo`."""
+        lo, width = self.lo, self.width
+        return sum(c << width * (k - lo) for k, c in poly._keys.items())
+
+    def decode(self, x, lo):
+        """The polynomial z^lo times the checked int x."""
+        width, base = self.width, 1 << _DIGIT_BITS
+        count = abs(x).bit_length() // width + 1
+        raw = ((x + self._bias) & ((1 << width * count) - 1)).to_bytes(
+            width // 8 * count, "little")
+        step = width // 8
+        digits = (memoryview(raw).cast("Q") if step == 8 else
+                  [int.from_bytes(raw[k:k + step], "little")
+                   for k in range(0, len(raw), step)])
+        keys = {lo + k: c - base for k, c in enumerate(digits) if c != base}
+        return LaurentPoly._make(1, keys, _norm(keys))
+
+    def shift(self, x, s):
+        """x times z^s, s >= 0."""
+        return x << self.width * s
+
+    def times_one_minus(self, x, d):
+        """x times 1 - z^d, d > 0."""
+        return x - (x << self.width * d)
+
+    def check(self, x):
+        """x, once every digit is seen in [-2^C, 2^C); _Fallback if not."""
+        if (x + self._bias) & self._mask:
+            raise _Fallback
+        return x
+
+    def divide(self, x, d):
+        """The checked quotient of x by 1 - z^d, d != 0; _Fallback on a
+        nonzero remainder or a failed check.  By 1 - z^d = -z^d (1 - z^-d)
+        when d < 0, so the quotient is shifted up and negated."""
+        if d < 0:
+            return -(self.divide(x, -d) << self.width * -d)
+        q, r = divmod(x, 1 - (1 << self.width * d))
+        if r:
+            raise _Fallback
+        return self.check(q)
+
+    def at_one(self, x):
+        """The value at z = 1, the sum of the digits: 2^width is 1 modulo
+        2^width - 1, and the sum is smaller than half of that."""
+        r = x % self._fold
+        return r - self._fold if r > self._fold >> 1 else r
 
 
 class LaurentPoly:

@@ -18,7 +18,7 @@ from flagtutte.ktheory import (EquivariantClass, FlagSpace, ProjProductSpace,
 from flagtutte.lattice import (_arc, _extreme_arcs, cone_at_vertex,
                                count_lattice_points_of_table, flag_polytope,
                                hilbert_numerator)
-from flagtutte.laurent import LaurentPoly
+from flagtutte.laurent import LaurentPoly, _Fallback
 from flagtutte.matroid import (matroid_from_bases, matroid_from_matrix,
                                uniform_matroid)
 from flagtutte.oracle import KRational, lex_divide
@@ -526,6 +526,30 @@ class TestShapeCertificate:
                 flag, LaurentPoly.monomial(exp), k)
             assert message == rejection(gkm_witness(expanded))
 
+    @pytest.mark.parametrize("name, k, terms", [
+        ("pappus8_matrix", 4, {(0, -1, 0, 0, 0, 0, 1, 0): 1,
+                               (0, -1, 1, 0, 0, 0, 0, 0): -1,
+                               (0, 0, 0, 0, 0, 0, 0, 0): -1,
+                               (0, 0, 1, 0, 0, 0, -1, 0): 1}),
+        ("pappus8_quotient_pair", 2, {(0, -1, 0, 1, 0, 0, 0, 0): 1,
+                                      (0, 0, -1, 1, 0, 0, 0, 0): -1,
+                                      (0, 0, 0, 0, 0, 0, 0, 0): -1,
+                                      (0, 1, -1, 0, 0, 0, 0, 0): 1}),
+        ("pappus8_quotient_pair", 6, {(-1, -1, 0, 0, 0, 0, 0, 0): -1,
+                                      (0, -1, 0, -1, 0, 0, 0, 0): 1})])
+    def test_a_verdict_depends_on_its_whole_key(self, name, k, terms):
+        # each bump first breaks the congruence at the witness; an earlier
+        # orbit passed with the witness's shapes and character under
+        # another relabelling (first two bumps), or with its relabelling
+        # and character and another shape at the far end (third), so a
+        # verdict kept without the relabelling, or without the far end's
+        # shape, would pass the witness too
+        flag = fixture_flag(name)
+        message, _, expanded = certificate(flag, LaurentPoly(flag.n, terms),
+                                           k)
+        assert message is not None
+        assert message == rejection(gkm_witness(expanded))
+
 
 class TestO1:
     def test_flag_weight(self):
@@ -771,9 +795,110 @@ class TestToNonEquivariant:
         exp = data.draw(st.tuples(*[st.integers(-2, 2)] * cls.nvars))
         values = dict(cls.values)
         values[point] = cls.value(point) + LaurentPoly.monomial(exp)
+        bumped = EquivariantClass(cls.space, values, cls.weights)
         with pytest.raises(InexactDivision):
-            to_nonequivariant(EquivariantClass(cls.space, values,
-                                               cls.weights))
+            to_nonequivariant(bumped)
+        # a specialized class hands the reduction to the LaurentPoly body,
+        # which raises with the same text and witness
+        assert outcome(to_nonequivariant, bumped) == outcome(
+            laurent_body, to_nonequivariant, bumped)
+
+
+def outcome(fn, *args):
+    """(result, None), or (None, the text of the InexactDivision raised)."""
+    try:
+        return fn(*args), None
+    except InexactDivision as exc:
+        return None, str(exc)
+
+
+def laurent_body(fn, *args):
+    """fn on a specialized class, run on LaurentPoly values: its packing
+    is refused as one that would pass the size bound."""
+    def refused(*packing_args):
+        raise _Fallback
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("flagtutte.ktheory._Packing", refused)
+        return fn(*args)
+
+
+def packed_body(fn, *args):
+    """fn on a specialized class with no hand-over: a _Fallback of its
+    packed body propagates instead of starting the LaurentPoly body."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("flagtutte.ktheory._Fallback",
+                            type("Unraised", (Exception,), {}))
+        return fn(*args)
+
+
+def specialized_image(cls, weights):
+    """The pushforward and reduction of a multivariate class, the pushed
+    values specialized along the weights."""
+    multi = pushforward_to_pp(cls)
+    return ({point: v.specialize(weights)
+             for point, v in multi.values.items()}, to_nonequivariant(multi))
+
+
+class TestPackedStage:
+    """The pull-push and the reduction of a specialized class on packed
+    ints, against their LaurentPoly body."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_basis_classes(7, specialized=True))
+    def test_reductions_agree(self, case):
+        cls, _ = case
+        assert packed_body(to_nonequivariant, cls) == laurent_body(
+            to_nonequivariant, cls)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(matrix_flags(5), subspace_flags(5)), st.data())
+    def test_pushforwards_agree(self, flag, data):
+        cls = coarse_class(flag).specialize(data.draw(distinct_weights(flag.n)))
+        pushed = packed_body(pushforward_to_pp, cls)
+        assert pushed == laurent_body(pushforward_to_pp, cls)
+        assert packed_body(to_nonequivariant, pushed) == laurent_body(
+            to_nonequivariant, pushed)
+
+    @pytest.mark.parametrize("weights", [(0, 10 ** 6, 2), (0, 1200, 1)])
+    def test_wide_cocharacter_runs_on_laurent_polys(self, weights):
+        cls = coarse_class(four_flag_matroid())
+        uni = cls.specialize(weights)
+        with pytest.raises(_Fallback):
+            packed_body(pushforward_to_pp, uni)
+        pushed = pushforward_to_pp(uni)
+        with pytest.raises(_Fallback):
+            packed_body(to_nonequivariant, pushed)
+        assert (pushed.values, to_nonequivariant(pushed)) == \
+            specialized_image(cls, weights)
+
+    def test_coefficients_past_the_digit_bound_run_on_laurent_polys(self):
+        flag = fixture_flag("flag_u23_5")
+        w = (3, 0, 4, 1, 2)
+        cls = coarse_class(flag)
+        big = EquivariantClass(cls.space, {fp: v * 2 ** 200
+                                           for fp, v in cls.values.items()})
+        uni = big.specialize(w)
+        with pytest.raises(_Fallback):
+            packed_body(pushforward_to_pp, uni)
+        pushed = pushforward_to_pp(uni)
+        with pytest.raises(_Fallback):
+            packed_body(to_nonequivariant, pushed)
+        assert (pushed.values, to_nonequivariant(pushed)) == \
+            specialized_image(big, w)
+
+    def test_gkm_failure_of_the_pushed_class_is_the_laurent_bodys(self):
+        # on P^2 the point (0) pushes to 1 - z^(w_m - w_0) at the line 0,
+        # and with w = (0, 2, 1) the orbit along e_0 - e_1 fails: 1 - z
+        # is not 0 modulo 1 - z^2
+        cls = EquivariantClass(FlagSpace(3, (1,)),
+                               {((0,),): LaurentPoly.one(1)}, (0, 2, 1))
+        with pytest.raises(_Fallback):
+            packed_body(pushforward_to_pp, cls)
+        message = outcome(pushforward_to_pp, cls)[1]
+        assert message.startswith("pushforward: localization class is "
+                                  "incompatible along orbit")
+        assert message == outcome(laurent_body, pushforward_to_pp, cls)[1]
 
 
 class TestKTutte:

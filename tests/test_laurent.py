@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from flagtutte.errors import (BadWeights, CheckFailed, DimensionMismatch,
                               InexactDivision, PoleAtOne)
-from flagtutte.laurent import (LaurentPoly, _unpack,
+from flagtutte.laurent import (_DIGIT_BITS, _PACKED_BITS, LaurentPoly,
+                               _Fallback, _Packing, _unpack,
                                binomial_fraction_sum, format_poly)
 from flagtutte.oracle import KRational, evaluate_at_one, lex_divide
 
@@ -403,6 +404,92 @@ class TestPackedKeys:
         assert p.shift((big,)).terms == {(2 * big,): 1, (0,): 2}
         assert p.times_one_minus([(big,)]).exact_divide((big,)) == p
         assert p.residue((3,)) == {big % 3: 1, -big % 3: 2}
+
+
+def one_variable(coeffs=st.integers(-4, 4)):
+    return st.dictionaries(st.integers(-6, 6), coeffs, max_size=6).map(
+        lambda terms: LaurentPoly(1, {(e,): c for e, c in terms.items()}))
+
+
+class TestKronecker:
+    """One-variable polynomials packed into ints against LaurentPoly."""
+
+    C = 1 << _DIGIT_BITS
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_variable(st.integers(-4, 4) | st.sampled_from([1 - C, C - 1])),
+           one_variable(), st.integers(-6, 6).filter(bool))
+    def test_arithmetic_matches_laurent_poly(self, p, q, d):
+        product = q.times_one_minus([(d,)])
+        packed = _Packing([p, q, product], 12, 2)
+        x, y, lo = packed.encode(p), packed.encode(q), packed.lo
+        assert packed.decode(x, lo) == p
+        assert packed.at_one(x) == p.subs_one()
+        assert packed.decode(packed.shift(x, 3), lo) == p.shift((3,))
+        assert packed.decode(packed.times_one_minus(y, abs(d)), lo) == \
+            q.times_one_minus([(abs(d),)])
+        assert packed.decode(packed.divide(packed.encode(product), d),
+                             lo) == q
+        try:
+            want = p.exact_divide((d,))
+        except InexactDivision:
+            want = None
+        try:
+            got = packed.decode(packed.divide(x, d), lo)
+        except _Fallback:
+            got = None
+        # an exact quotient with a digit past the bound is handed over too
+        if want is not None and any(not -self.C <= c < self.C
+                                    for c in want.terms.values()):
+            want = None
+        assert got == want
+
+    def test_digits_are_checked(self):
+        packed = _Packing([LaurentPoly.one(1)], 4, 2)
+        w = packed.width
+        for digit in (self.C - 1, -self.C, 7):
+            assert packed.check(digit << w) == digit << w
+        for digit in (self.C, -self.C - 1):
+            with pytest.raises(_Fallback):
+                packed.check(digit << w)
+        with pytest.raises(_Fallback):   # past the digits the packing holds
+            packed.check(1 << 6 * w)
+
+    def test_exact_division_past_the_digits_hands_over(self):
+        # the quotient (C - 1)(1 + 2z + z^2) holds the digit 2C - 2
+        c = self.C - 1
+        p = LaurentPoly(1, {(0,): c, (1,): c, (2,): -c, (3,): -c})
+        packed = _Packing([p], 0, 2)
+        assert p.exact_divide((1,)) == LaurentPoly(1, {(0,): c, (1,): 2 * c,
+                                                       (2,): c})
+        with pytest.raises(_Fallback):
+            packed.divide(packed.encode(p), 1)
+
+    def test_width_leaves_room_for_the_growth_between_checks(self):
+        # the digit 2^64 - 1, grown from checked digits within the
+        # headroom, must not read as -1 carried into the next digit, where
+        # 1 - z would divide it
+        one = LaurentPoly.one(1)
+        packed = _Packing([one], 1, 25)
+        assert packed.width == 128
+        assert _Packing([one], 1, 20).width == 64
+        with pytest.raises(_Fallback):
+            packed.divide(packed.encode(one) * ((1 << 64) - 1), 1)
+
+    def test_inexact_division_is_told_by_its_remainder(self):
+        p = LaurentPoly(1, {(0,): 1, (2,): 1})
+        packed = _Packing([p], 0, 2)
+        with pytest.raises(_Fallback):
+            packed.divide(packed.encode(p), 1)
+
+    def test_hands_over_past_the_size_or_the_digit_bound(self):
+        one = LaurentPoly.one(1)
+        with pytest.raises(_Fallback):
+            _Packing([one], _PACKED_BITS // 64, 2)
+        with pytest.raises(_Fallback):
+            _Packing([one * self.C], 0, 2)
+        with pytest.raises(_Fallback):
+            _Packing([one * 2 ** 200], 0, 2)
 
 
 class TestKRational:
